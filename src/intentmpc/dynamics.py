@@ -5,12 +5,20 @@ heading, heading advances by the angular rate.  Intruder uncertainty is
 enumerated as a tree of control sequences branching over
 {upper rate, lower rate, nominal rate} for the first few stages (the robust
 horizon) and following the nominal schedule afterwards.
+
+`step`/`rollout` integrate one pose at a time; `build_scenario_tree`
+integrates every scenario at once as cumulative sums over arrays.  Both
+perform the same floating-point operations in the same order, so a tree's
+states equal the sequential rollout of its control sequences bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dubins import ControlSchedule, Pose
 
@@ -75,17 +83,52 @@ class TreeShape:
         return self.m**self.robust_horizon
 
 
-@dataclass(frozen=True)
+class _RowView(Sequence):
+    """Read-only sequence whose rows are built on access; len() is O(1)."""
+
+    def __init__(self, count: int, row: Callable[[int], tuple]):
+        self._count = count
+        self._row = row
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, j: int) -> tuple:
+        return self._row(range(self._count)[j])
+
+
+@dataclass(frozen=True, eq=False)
 class ScenarioTree:
     """All intruder control sequences and their predicted trajectories.
 
-    Scenarios sharing a branch prefix share the control prefix, so
-    non-anticipativity holds by construction.
+    Array layout, M = shape.scenario_count and N = shape.horizon:
+
+    * `rates` (M, N): angular rate of scenario j-1 at stage k;
+    * `states` (M, N+1, 3): (x, y, heading) of scenario j-1 at stage k, with
+      stage 0 the intruder's current pose;
+    * `speed`: the intruder's speed, the same in every scenario and stage.
+
+    Row j-1 of `states` equals `rollout` of `control_sequences[j-1]` bit for
+    bit.  Scenarios sharing a branch prefix share the control prefix, so
+    non-anticipativity holds by construction.  `control_sequences` and
+    `trajectories` are dataclass views built row by row on access.
     """
 
     shape: TreeShape
-    control_sequences: tuple[tuple[ControlInput, ...], ...]
-    trajectories: tuple[tuple[Pose, ...], ...]
+    rates: np.ndarray
+    states: np.ndarray
+    speed: float
+
+    @property
+    def control_sequences(self) -> Sequence[tuple[ControlInput, ...]]:
+        return _RowView(
+            len(self.rates),
+            lambda j: tuple(ControlInput(self.speed, u) for u in self.rates[j].tolist()),
+        )
+
+    @property
+    def trajectories(self) -> Sequence[tuple[Pose, ...]]:
+        return _RowView(len(self.states), lambda j: tuple(Pose(*s) for s in self.states[j].tolist()))
 
 
 def step(state: Pose, inp: ControlInput, dt: float) -> Pose:
@@ -124,6 +167,25 @@ def branch_index(j: int, k: int, shape: TreeShape) -> int:
     return (math.ceil(j / shape.m ** (shape.robust_horizon - 1 - k)) - 1) % shape.m
 
 
+def branch_table(shape: TreeShape) -> np.ndarray:
+    """Branches of every scenario at every stage, (M, N) integers.
+
+    Row j-1 is `branch_index(j, k, shape)` for k = 0..N-1: the base-m digits
+    of j-1, most significant first, then nominal past the robust horizon.
+    """
+    table = np.full((shape.scenario_count, shape.horizon), BRANCH_NOMINAL)
+    powers = shape.m ** np.arange(shape.robust_horizon - 1, -1, -1)
+    table[:, : shape.robust_horizon] = np.arange(shape.scenario_count)[:, None] // powers % shape.m
+    return table
+
+
+def _accumulate(start: float, increments: np.ndarray) -> np.ndarray:
+    """Per row, cumsum([start, inc_0, inc_1, ...]): each stage adds one
+    increment to the previous one, as `step` does, so the sums round exactly
+    as the sequential ones; `start + cumsum(inc)` would round differently."""
+    return np.cumsum(np.column_stack((np.full(len(increments), start), increments)), axis=1)
+
+
 def build_scenario_tree(
     intruder_now: Pose,
     nominal_schedule: ControlSchedule,
@@ -141,23 +203,27 @@ def build_scenario_tree(
         raise ValueError(f"branching is over {{upper, lower, nominal}}, so m must be 3, got {shape.m}")
     if t < 0:
         raise ValueError(f"absolute time must be >= 0, got {t}")
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if shape.horizon == 0:
+        raise ValueError("a scenario tree needs a horizon of at least one step")
 
-    sequences = []
-    trajectories = []
-    for j in range(1, shape.scenario_count + 1):
-        controls = []
-        for k in range(shape.horizon):
-            branch = branch_index(j, k, shape)
-            if branch == BRANCH_UPPER:
-                rate = bounds.u_max
-            elif branch == BRANCH_LOWER:
-                rate = bounds.u_min
-            else:
-                rate = nominal_schedule.rate_at(t + k)
-            controls.append(ControlInput(speed=bounds.v_max, angular_rate=rate))
-        sequences.append(tuple(controls))
-        trajectories.append(rollout(intruder_now, controls, dt))
-    return ScenarioTree(shape=shape, control_sequences=tuple(sequences), trajectories=tuple(trajectories))
+    n = shape.horizon
+    nominal = np.array([nominal_schedule.rate_at(t + k) for k in range(n)])
+    rates = np.choose(branch_table(shape), (bounds.u_max, bounds.u_min, nominal))
+    if not np.isfinite(rates).all():
+        raise ValueError("intruder rates must be finite; check the schedule and bounds")
+
+    heading = _accumulate(intruder_now.heading, dt * rates)
+    reach = dt * bounds.v_max  # step's operation order: (dt * v) * cos(heading)
+    x = _accumulate(intruder_now.x, reach * np.cos(heading[:, :n]))
+    y = _accumulate(intruder_now.y, reach * np.sin(heading[:, :n]))
+    states = np.stack((x, y, heading), axis=-1)
+    if not np.isfinite(states).all():
+        raise ValueError("scenario tree states must be finite")
+    rates.flags.writeable = False
+    states.flags.writeable = False
+    return ScenarioTree(shape=shape, rates=rates, states=states, speed=bounds.v_max)
 
 
 def separation(a: Pose, b: Pose) -> float:

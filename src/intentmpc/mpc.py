@@ -104,11 +104,19 @@ class MpcConfig:
 @dataclass
 class MpcSolution:
     first_input: ControlInput
-    own_predicted: tuple[Pose, ...]
     intruder_scenarios: ScenarioTree
     solver: SolverResult
     cost_value: float
     controls: np.ndarray  # optimal decision vector, kept for warm starting
+    own_now: Pose
+    dt: float
+
+    @property
+    def own_predicted(self) -> tuple[Pose, ...]:
+        """Ownship poses over stages 0..N under `controls`, rolled out on access."""
+        n = len(self.controls) // 2
+        u, v = self.controls[:n].tolist(), self.controls[n:].tolist()
+        return rollout(self.own_now, [ControlInput(speed=vk, angular_rate=uk) for uk, vk in zip(u, v)], self.dt)
 
 
 class _SingleShooting:
@@ -264,9 +272,10 @@ def build_problem(
             tree,
         )
 
-    # Intruder positions per scenario and stage, fixed for this instance.
-    intr_x = np.array([[p.x for p in traj] for traj in tree.trajectories])
-    intr_y = np.array([[p.y for p in traj] for traj in tree.trajectories])
+    # Intruder positions per scenario and stage, fixed for this instance;
+    # contiguous copies because every constraint evaluation reads them.
+    intr_x = np.ascontiguousarray(tree.states[:, :, 0])
+    intr_y = np.ascontiguousarray(tree.states[:, :, 1])
     rho_sq = config.min_separation**2
 
     def constraints(z: np.ndarray) -> np.ndarray:
@@ -331,14 +340,13 @@ def solve_step(
     z = result.z_star
     n = config.horizon
     first = config.own_bounds.clamp(ControlInput(speed=float(z[n]), angular_rate=float(z[0])))
-    inputs = [ControlInput(speed=float(z[n + k]), angular_rate=float(z[k])) for k in range(n)]
-    predicted = rollout(own_now, inputs, config.dt)
     return MpcSolution(
         first_input=first,
-        own_predicted=predicted,
         intruder_scenarios=tree,
         solver=result,
         cost_value=result.objective_value,
         controls=z,
+        own_now=own_now,
+        dt=config.dt,
     )
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intentmpc import (
     BRANCH_LOWER,
@@ -16,6 +18,7 @@ from intentmpc import (
     Pose,
     TreeShape,
     branch_index,
+    branch_table,
     build_scenario_tree,
     control_schedule,
     rollout,
@@ -176,3 +179,87 @@ class TestScenarioTree:
         rates = [c.angular_rate for c in tree.control_sequences[0]]
         # Index 2 of the schedule first, then zeros past the end.
         assert rates == [0.03, 0.0, 0.0, 0.0, 0.0]
+
+    def test_length_builds_no_poses(self, monkeypatch):
+        shape = TreeShape(m=3, robust_horizon=3, horizon=30)
+        tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
+
+        def no_pose(*args):
+            raise AssertionError("Pose built")
+
+        monkeypatch.setattr("intentmpc.dynamics.Pose", no_pose)
+        assert len(tree.trajectories) == 27
+        assert len(tree.control_sequences) == 27
+
+    def test_views_index_like_tuples(self):
+        shape = TreeShape(m=3, robust_horizon=2, horizon=4)
+        tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
+        trajectories = tuple(tree.trajectories)
+        assert len(trajectories) == 9 and all(len(traj) == 5 for traj in trajectories)
+        assert tree.trajectories[-1] == trajectories[8]
+        with pytest.raises(IndexError):
+            tree.trajectories[9]
+
+    @pytest.mark.parametrize(
+        "rates, t, shape, dt",
+        [
+            ((0.0,) * 10, 0, (3, 2, 5), 0.0),
+            ((0.0,) * 10, 0, (3, 2, 5), -1.0),
+            ((0.0,) * 10, 0, (3, 0, 0), 1.0),
+            ((0.0,) * 10, -1, (3, 2, 5), 1.0),
+            ((0.0,) * 10, 0, (2, 2, 5), 1.0),
+            ((0.0, math.nan), 0, (3, 0, 5), 1.0),
+            ((0.0, 0.0, math.inf), 0, (3, 2, 5), 1.0),
+        ],
+        ids=["dt-zero", "dt-negative", "horizon-zero", "t-negative", "m-not-3", "rate-nan", "rate-inf"],
+    )
+    def test_rejects_invalid_input(self, rates, t, shape, dt):
+        schedule = ControlSchedule(speed=10.0, dt=1.0, angular_rates=rates)
+        with pytest.raises(ValueError):
+            build_scenario_tree(Pose(0, 0, 0), schedule, t, INTRUDER_BOUNDS, TreeShape(*shape), dt)
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tree_cases(draw):
+    horizon = draw(st.integers(1, 40))
+    shape = TreeShape(m=3, robust_horizon=draw(st.integers(0, min(4, horizon))), horizon=horizon)
+    t = draw(st.integers(0, 60))
+    # Schedules both end inside the horizon window and run past it.
+    rates = draw(st.lists(st.floats(-0.2, 0.2, **finite), max_size=t + horizon + 10))
+    v_max = draw(st.floats(1.0, 300.0, **finite))
+    bounds = ControlBounds(v_max, v_max, draw(st.floats(-0.3, 0.0, **finite)), draw(st.floats(0.0, 0.3, **finite)))
+    start = Pose(
+        draw(st.floats(-1e4, 1e4, **finite)), draw(st.floats(-1e4, 1e4, **finite)), draw(st.floats(-10, 10, **finite))
+    )
+    dt = draw(st.floats(0.05, 2.0, **finite))
+    return start, ControlSchedule(v_max, dt, tuple(rates)), t, bounds, shape, dt
+
+
+class TestTreeMatchesSequentialReference:
+    """The array tree against the per-pose `step`/`rollout` and `branch_index`."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(tree_cases())
+    def test_states_equal_rollout_bitwise(self, case):
+        start, schedule, t, bounds, shape, dt = case
+        tree = build_scenario_tree(start, schedule, t, bounds, shape, dt)
+        assert tree.states.shape == (shape.scenario_count, shape.horizon + 1, 3)
+        for j, controls in enumerate(tree.control_sequences):
+            poses = rollout(start, controls, dt)
+            assert np.array_equal(tree.states[j], [(p.x, p.y, p.heading) for p in poses])
+
+    @settings(max_examples=80, deadline=None)
+    @given(tree_cases())
+    def test_branch_table_matches_branch_index(self, case):
+        start, schedule, t, bounds, shape, dt = case
+        table = branch_table(shape)
+        tree = build_scenario_tree(start, schedule, t, bounds, shape, dt)
+        rate_of = {BRANCH_UPPER: bounds.u_max, BRANCH_LOWER: bounds.u_min}
+        for j in range(1, shape.scenario_count + 1):
+            for k in range(shape.horizon):
+                branch = branch_index(j, k, shape)
+                assert table[j - 1, k] == branch
+                assert tree.rates[j - 1, k] == rate_of.get(branch, schedule.rate_at(t + k))
