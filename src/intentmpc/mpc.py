@@ -104,9 +104,7 @@ class MpcConfig:
 @dataclass
 class MpcSolution:
     first_input: ControlInput
-    intruder_scenarios: ScenarioTree
     solver: SolverResult
-    cost_value: float
     controls: np.ndarray  # optimal decision vector, kept for warm starting
     own_now: Pose
     dt: float
@@ -260,45 +258,36 @@ def build_problem(
     lower = np.concatenate((np.full(n, ob.u_min), np.full(n, ob.v_min)))
     upper = np.concatenate((np.full(n, ob.u_max), np.full(n, ob.v_max)))
 
-    if config.mode is MpcMode.UNCONSTRAINED:
-        return (
-            NlpProblem(
-                dimension=2 * n,
-                objective=shoot.objective,
-                objective_grad=shoot.objective_grad,
-                lower=lower,
-                upper=upper,
-            ),
-            tree,
-        )
+    constraints = constraints_jac = constraints_weighted_grad = None
+    if config.mode is not MpcMode.UNCONSTRAINED:
+        # Intruder positions per scenario and stage, fixed for this instance;
+        # contiguous copies because every constraint evaluation reads them.
+        intr_x = np.ascontiguousarray(tree.states[:, :, 0])
+        intr_y = np.ascontiguousarray(tree.states[:, :, 1])
+        rho_sq = config.min_separation**2
 
-    # Intruder positions per scenario and stage, fixed for this instance;
-    # contiguous copies because every constraint evaluation reads them.
-    intr_x = np.ascontiguousarray(tree.states[:, :, 0])
-    intr_y = np.ascontiguousarray(tree.states[:, :, 1])
-    rho_sq = config.min_separation**2
+        def constraints(z: np.ndarray) -> np.ndarray:
+            x, y, _ = shoot.states(z)
+            return (rho_sq - (x[None, :] - intr_x) ** 2 - (y[None, :] - intr_y) ** 2).ravel()
 
-    def constraints(z: np.ndarray) -> np.ndarray:
-        x, y, _ = shoot.states(z)
-        return (rho_sq - (x[None, :] - intr_x) ** 2 - (y[None, :] - intr_y) ** 2).ravel()
+        def constraints_jac(z: np.ndarray) -> np.ndarray:
+            # Dense, for check_gradient only; the solver uses J^T w below.
+            x, y, _ = shoot.states(z)
+            jx, jy = shoot.position_jacobians(z)
+            dx = x[None, :] - intr_x  # (M, N+1)
+            dy = y[None, :] - intr_y
+            jac = -2.0 * (dx[:, :, None] * jx[None, :, :] + dy[:, :, None] * jy[None, :, :])
+            return jac.reshape(-1, 2 * n)
 
-    def constraints_jac(z: np.ndarray) -> np.ndarray:
-        x, y, _ = shoot.states(z)
-        jx, jy = shoot.position_jacobians(z)
-        dx = x[None, :] - intr_x  # (M, N+1)
-        dy = y[None, :] - intr_y
-        jac = -2.0 * (dx[:, :, None] * jx[None, :, :] + dy[:, :, None] * jy[None, :, :])
-        return jac.reshape(-1, 2 * n)
-
-    def constraints_weighted_grad(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # J^T w without forming J: aggregate the weights into one per-stage
-        # position gradient, then pull it back through the rollout.
-        x, y, _ = shoot.states(z)
-        w2 = w.reshape(intr_x.shape)
-        lam = np.zeros((n + 1, 3))
-        lam[:, 0] = -2.0 * np.einsum("jk,jk->k", w2, x[None, :] - intr_x)
-        lam[:, 1] = -2.0 * np.einsum("jk,jk->k", w2, y[None, :] - intr_y)
-        return shoot.state_gradient_to_controls(z, lam)
+        def constraints_weighted_grad(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+            # J^T w without forming J: aggregate the weights into one per-stage
+            # position gradient, then pull it back through the rollout.
+            x, y, _ = shoot.states(z)
+            w2 = w.reshape(intr_x.shape)
+            lam = np.zeros((n + 1, 3))
+            lam[:, 0] = -2.0 * np.einsum("jk,jk->k", w2, x[None, :] - intr_x)
+            lam[:, 1] = -2.0 * np.einsum("jk,jk->k", w2, y[None, :] - intr_y)
+            return shoot.state_gradient_to_controls(z, lam)
 
     problem = NlpProblem(
         dimension=2 * n,
@@ -333,7 +322,7 @@ def solve_step(
     warm: MpcSolution | None = None,
 ) -> MpcSolution:
     """Solve one receding-horizon instance and package the applied action."""
-    problem, tree = build_problem(own_now, intruder_now, t, intent_schedule, config)
+    problem, _ = build_problem(own_now, intruder_now, t, intent_schedule, config)
     z0 = shift_warm_start(warm.controls, config.horizon) if warm is not None else cold_start(config)
     result = solve(problem, z0, config.solver)
 
@@ -342,9 +331,7 @@ def solve_step(
     first = config.own_bounds.clamp(ControlInput(speed=float(z[n]), angular_rate=float(z[0])))
     return MpcSolution(
         first_input=first,
-        intruder_scenarios=tree,
         solver=result,
-        cost_value=result.objective_value,
         controls=z,
         own_now=own_now,
         dt=config.dt,

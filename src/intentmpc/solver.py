@@ -8,20 +8,15 @@ penalty.  Everything is deterministic for fixed inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-GRAD_ANALYTIC = "analytic-adjoint"
-GRAD_CENTRAL_FD = "central-fd"
-
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_INFEASIBLE = "infeasible_stationary"
-
-_FD_REL_STEP = 1e-6
 
 
 class NumericalDomainError(RuntimeError):
@@ -39,9 +34,13 @@ class NumericalDomainError(RuntimeError):
 class NlpProblem:
     """Box-constrained NLP with smooth inequality constraints c(z) <= 0.
 
-    `constraints` returns the stacked constraint values; `constraints_jac`
-    its Jacobian.  Gradient callables may be omitted when solving in
-    finite-difference mode.
+    The solver calls `objective`, `objective_grad`, `constraints` (the
+    stacked constraint values) and `constraints_weighted_grad(z, w)` =
+    J(z)^T w, the only Jacobian product the augmented Lagrangian needs; the
+    gradient is required, and J^T w is required whenever constraints are
+    given.  The dense Jacobian `constraints_jac` is optional and read only
+    by `check_gradient`, which compares it and J^T w with finite
+    differences.
     """
 
     dimension: int
@@ -51,11 +50,13 @@ class NlpProblem:
     objective_grad: Callable[[np.ndarray], np.ndarray] | None = None
     constraints: Callable[[np.ndarray], np.ndarray] | None = None
     constraints_jac: Callable[[np.ndarray], np.ndarray] | None = None
-    # Optional fast path for J(z)^T w, the only Jacobian product the
-    # augmented Lagrangian needs; falls back to the full Jacobian.
     constraints_weighted_grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
+        if self.objective_grad is None:
+            raise ValueError("objective_grad is required")
+        if self.constraints is not None and self.constraints_weighted_grad is None:
+            raise ValueError("constraints require constraints_weighted_grad (J^T w)")
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
         if lo.shape != (self.dimension,) or hi.shape != (self.dimension,):
@@ -79,15 +80,12 @@ class SolverConfig:
     penalty_growth: float = 10.0
     # Penalty grows only when the violation failed to shrink by this factor.
     violation_shrink: float = 4.0
-    gradient_mode: str = GRAD_ANALYTIC
 
     def __post_init__(self) -> None:
         if self.constraint_tol <= 0 or self.optimality_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.penalty_growth <= 1:
             raise ValueError("penalty growth must exceed 1")
-        if self.gradient_mode not in (GRAD_ANALYTIC, GRAD_CENTRAL_FD):
-            raise ValueError(f"unknown gradient mode {self.gradient_mode!r}")
 
 
 @dataclass
@@ -104,89 +102,25 @@ class SolverResult:
     violation_history: list[float] = field(default_factory=list)
 
 
-def _central_diff_grad(fn: Callable[[np.ndarray], float], z: np.ndarray, rel_step: float) -> np.ndarray:
-    h = rel_step * np.maximum(1.0, np.abs(z))
-    g = np.empty_like(z)
-    for i in range(z.size):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h[i]
-        zm[i] -= h[i]
-        g[i] = (fn(zp) - fn(zm)) / (2.0 * h[i])
-    return g
-
-
-def _central_diff_jac(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray, rel_step: float) -> np.ndarray:
-    h = rel_step * np.maximum(1.0, np.abs(z))
+def _central_diff(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of fn at z: shape (n,) for a scalar fn, (m, n) for an m-vector fn."""
+    h = step * np.maximum(1.0, np.abs(z))
     cols = []
     for i in range(z.size):
         zp, zm = z.copy(), z.copy()
         zp[i] += h[i]
         zm[i] -= h[i]
         cols.append((fn(zp) - fn(zm)) / (2.0 * h[i]))
-    return np.column_stack(cols)
+    return np.array(cols).T
 
 
-def fd_objective_grad(objective: Callable[[np.ndarray], float], z: np.ndarray) -> np.ndarray:
-    return _central_diff_grad(objective, z, _FD_REL_STEP)
-
-
-def fd_constraints_jac(constraints: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
-    return _central_diff_jac(constraints, z, _FD_REL_STEP)
-
-
-class _Evaluator:
-    """Finite-checked objective/constraint evaluation with a gradient mode."""
-
-    def __init__(self, problem: NlpProblem, config: SolverConfig):
-        self.problem = problem
-        use_fd = config.gradient_mode == GRAD_CENTRAL_FD
-        if not use_fd and problem.objective_grad is None:
-            raise ValueError("analytic gradient mode requires objective_grad")
-        if not use_fd and problem.constraints is not None and problem.constraints_jac is None:
-            raise ValueError("analytic gradient mode requires constraints_jac")
-        self.use_fd = use_fd
-
-    def objective(self, z: np.ndarray) -> float:
-        f = float(self.problem.objective(z))
-        if not np.isfinite(f):
-            raise NumericalDomainError("objective", z, np.array([True]))
-        return f
-
-    def objective_grad(self, z: np.ndarray) -> np.ndarray:
-        if self.use_fd:
-            g = fd_objective_grad(self.problem.objective, z)
-        else:
-            g = np.asarray(self.problem.objective_grad(z), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise NumericalDomainError("objective gradient", z, ~np.isfinite(g))
-        return g
-
-    def constraints(self, z: np.ndarray) -> np.ndarray:
-        if self.problem.constraints is None:
-            return np.zeros(0)
-        c = np.asarray(self.problem.constraints(z), dtype=float)
-        if not np.all(np.isfinite(c)):
-            raise NumericalDomainError("constraints", z, ~np.isfinite(c))
-        return c
-
-    def constraints_jac(self, z: np.ndarray) -> np.ndarray:
-        if self.problem.constraints is None:
-            return np.zeros((0, z.size))
-        if self.use_fd:
-            jac = fd_constraints_jac(self.problem.constraints, z)
-        else:
-            jac = np.asarray(self.problem.constraints_jac(z), dtype=float)
-        if not np.all(np.isfinite(jac)):
-            raise NumericalDomainError("constraint jacobian", z, ~np.isfinite(jac).all(axis=1))
-        return jac
-
-    def weighted_constraint_grad(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        if not self.use_fd and self.problem.constraints_weighted_grad is not None:
-            g = np.asarray(self.problem.constraints_weighted_grad(z, w), dtype=float)
-            if not np.all(np.isfinite(g)):
-                raise NumericalDomainError("constraint gradient", z, ~np.isfinite(g))
-            return g
-        return self.constraints_jac(z).T @ w
+def _checked(what: str, z: np.ndarray, value) -> np.ndarray:
+    """value as a float array; NumericalDomainError naming `what` if any entry is non-finite."""
+    arr = np.asarray(value, dtype=float)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise NumericalDomainError(what, z, ~finite)
+    return arr
 
 
 def _projected_grad_norm(problem: NlpProblem, z: np.ndarray, grad: np.ndarray) -> float:
@@ -202,27 +136,35 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
     `infeasible_stationary`.
     """
     config = config or SolverConfig()
-    ev = _Evaluator(problem, config)
+
+    def objective(zz: np.ndarray) -> float:
+        return float(_checked("objective", zz, problem.objective(zz)))
+
+    def constraints(zz: np.ndarray) -> np.ndarray:
+        if problem.constraints is None:
+            return np.zeros(0)
+        return _checked("constraints", zz, problem.constraints(zz))
+
     z = problem.project(np.asarray(z0, dtype=float))
-    n_cons = ev.constraints(z).size
+    n_cons = constraints(z).size
 
     lam = np.zeros(n_cons)
     penalty = config.initial_penalty
     inner_total = 0
     prev_violation = np.inf
-    best: dict | None = None
+    best: SolverResult | None = None
     violation_history: list[float] = []
 
     def al_value_and_grad(zz: np.ndarray) -> tuple[float, np.ndarray]:
-        f = ev.objective(zz)
-        g = ev.objective_grad(zz)
+        f = objective(zz)
+        g = _checked("objective gradient", zz, problem.objective_grad(zz))
         if n_cons == 0:
             return f, g
-        c = ev.constraints(zz)
+        c = constraints(zz)
         w = np.maximum(0.0, lam + penalty * c)
         value = f + (np.dot(w, w) - np.dot(lam, lam)) / (2.0 * penalty)
         if np.any(w > 0.0):
-            g = g + ev.weighted_constraint_grad(zz, w)
+            g = g + _checked("constraint gradient", zz, problem.constraints_weighted_grad(zz, w))
         return value, g
 
     outer_done = 0
@@ -245,39 +187,34 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
         inner_total += int(res.nit)
         outer_done = outer + 1
 
-        f = ev.objective(z)
-        c = ev.constraints(z)
+        f = objective(z)
+        c = constraints(z)
         violation = float(np.max(np.maximum(c, 0.0))) if n_cons else 0.0
         violation_history.append(violation)
         _, al_grad = al_value_and_grad(z)
         pg_norm = _projected_grad_norm(problem, z, al_grad)
-        lam_next = np.maximum(0.0, lam + penalty * c) if n_cons else lam
+        lam_next = np.maximum(0.0, lam + penalty * c)
 
-        candidate = {
-            "z": z.copy(),
-            "objective": f,
-            "violation": violation,
-            "pg_norm": pg_norm,
-            "multipliers": lam_next.copy(),
-        }
+        feasible = violation <= config.constraint_tol
+        converged = feasible and pg_norm <= config.optimality_tol
+        candidate = SolverResult(
+            z_star=z.copy(),
+            objective_value=f,
+            max_violation=violation,
+            projected_grad_norm=pg_norm,
+            outer_iters=outer_done,
+            inner_iters_total=inner_total,
+            status=STATUS_CONVERGED if converged else STATUS_MAX_ITERS if feasible else STATUS_INFEASIBLE,
+            multipliers=lam_next.copy(),
+            violation_history=violation_history,
+        )
+        if converged:
+            return candidate
         if best is None or _better(candidate, best, config.constraint_tol):
             best = candidate
 
-        if violation <= config.constraint_tol and pg_norm <= config.optimality_tol:
-            return SolverResult(
-                z_star=z,
-                objective_value=f,
-                max_violation=violation,
-                projected_grad_norm=pg_norm,
-                outer_iters=outer_done,
-                inner_iters_total=inner_total,
-                status=STATUS_CONVERGED,
-                multipliers=lam_next,
-                violation_history=violation_history,
-            )
-
         lam = lam_next
-        if violation > config.constraint_tol and violation > prev_violation / config.violation_shrink:
+        if not feasible and violation > prev_violation / config.violation_shrink:
             penalty *= config.penalty_growth
         prev_violation = violation
 
@@ -289,42 +226,31 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
         seen_states.add(state)
 
     assert best is not None
-    status = STATUS_MAX_ITERS if best["violation"] <= config.constraint_tol else STATUS_INFEASIBLE
-    return SolverResult(
-        z_star=best["z"],
-        objective_value=best["objective"],
-        max_violation=best["violation"],
-        projected_grad_norm=best["pg_norm"],
-        outer_iters=outer_done,
-        inner_iters_total=inner_total,
-        status=status,
-        multipliers=best["multipliers"],
-        violation_history=violation_history,
-    )
+    return replace(best, outer_iters=outer_done, inner_iters_total=inner_total)
 
 
-def _better(a: dict, b: dict, constraint_tol: float) -> bool:
-    a_feas = a["violation"] <= constraint_tol
-    b_feas = b["violation"] <= constraint_tol
+def _better(a: SolverResult, b: SolverResult, constraint_tol: float) -> bool:
+    a_feas = a.max_violation <= constraint_tol
+    b_feas = b.max_violation <= constraint_tol
     if a_feas != b_feas:
         return a_feas
     if a_feas:
-        return a["objective"] < b["objective"]
-    if a["violation"] != b["violation"]:
-        return a["violation"] < b["violation"]
-    return a["objective"] < b["objective"]
+        return a.objective_value < b.objective_value
+    if a.max_violation != b.max_violation:
+        return a.max_violation < b.max_violation
+    return a.objective_value < b.objective_value
 
 
 def check_gradient(problem: NlpProblem, z: np.ndarray) -> float:
     """Worst relative discrepancy between analytic and central-FD derivatives.
 
-    Each gradient (objective, and each constraint row) is compared in the
-    infinity norm relative to its own magnitude, floored at 1.  The FD step
-    eps^(1/3) * max(1, |z_i|) balances truncation against roundoff so the
-    comparison resolves well below 1e-5 even for large-magnitude constraints.
+    Each gradient (objective, each constraint row, and J^T w for a fixed
+    nonnegative weight vector w, the product the solver uses) is compared in
+    the infinity norm relative to its own magnitude, floored at 1.  The FD
+    step eps^(1/3) * max(1, |z_i|) balances truncation against roundoff so
+    the comparison resolves well below 1e-5 even for large-magnitude
+    constraints.
     """
-    if problem.objective_grad is None:
-        raise ValueError("check_gradient requires an analytic objective gradient")
     z = np.asarray(z, dtype=float)
     step = float(np.finfo(float).eps ** (1.0 / 3.0))
 
@@ -333,14 +259,17 @@ def check_gradient(problem: NlpProblem, z: np.ndarray) -> float:
         return float(np.max(np.abs(a - b))) / denom
 
     g_analytic = np.asarray(problem.objective_grad(z), dtype=float)
-    g_fd = _central_diff_grad(problem.objective, z, step)
+    g_fd = _central_diff(problem.objective, z, step)
     worst = row_error(g_analytic, g_fd) if z.size else 0.0
 
     if problem.constraints is not None:
         if problem.constraints_jac is None:
             raise ValueError("check_gradient requires an analytic constraint jacobian")
         j_analytic = np.asarray(problem.constraints_jac(z), dtype=float)
-        j_fd = _central_diff_jac(problem.constraints, z, step)
+        j_fd = _central_diff(problem.constraints, z, step)
         for row_a, row_b in zip(j_analytic, j_fd):
             worst = max(worst, row_error(row_a, row_b))
+        w = np.random.default_rng(0).uniform(1.0, 2.0, size=j_fd.shape[0])
+        jtw = np.asarray(problem.constraints_weighted_grad(z, w), dtype=float)
+        worst = max(worst, row_error(jtw, j_fd.T @ w))
     return worst

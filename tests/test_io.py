@@ -28,6 +28,7 @@ from intentmpc.scenario_io import (
     trace_to_csv,
 )
 from intentmpc.sim import metrics
+from test_sim import fail_at_step
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -196,6 +197,15 @@ class TestCli:
             assert (out / name).exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["metrics"]["min_separation"] >= 59.9
+
+    def test_simulate_solver_failure_exits_3_with_partial_trace(self, quick_path, tmp_path, monkeypatch, capsys):
+        fail_at_step(monkeypatch, 2)
+        out = tmp_path / "out"
+        code = main(["simulate", "--scenario", str(quick_path), "--out", str(out)])
+        assert code == 3
+        assert "step 2" in capsys.readouterr().err
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert len(rows) == 3  # header, steps 0 and 1
 
     def test_mode_override_unconstrained_violates(self, quick_path, tmp_path):
         out = tmp_path / "out"

@@ -150,8 +150,8 @@ class TestSolveStep:
         assert warm.solver.inner_iters_total <= cold.solver.inner_iters_total
         # The transcription is nonconvex: the cold solve may settle in a
         # different (possibly worse) basin.  Warm-starting must never lose.
-        scale = max(1.0, abs(cold.cost_value))
-        assert warm.cost_value <= cold.cost_value + 1e-6 * scale
+        scale = max(1.0, abs(cold.solver.objective_value))
+        assert warm.solver.objective_value <= cold.solver.objective_value + 1e-6 * scale
         assert warm.solver.max_violation <= 1e-3
         assert cold.solver.max_violation <= 1e-3
 
@@ -181,7 +181,8 @@ class TestSolveStep:
         violations = classic_problem.constraints(tree_sol.controls)
         assert float(np.max(violations)) <= 1e-3
         classic_sol = solve_step(own, intr, 12, sched, classic_cfg)
-        assert classic_sol.cost_value <= tree_sol.cost_value + 1e-3 * max(1.0, abs(tree_sol.cost_value))
+        classic_cost, tree_cost = classic_sol.solver.objective_value, tree_sol.solver.objective_value
+        assert classic_cost <= tree_cost + 1e-3 * max(1.0, abs(tree_cost))
 
     def test_shift_warm_start_layout(self):
         z = np.concatenate((np.arange(5.0), 10.0 + np.arange(5.0)))

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import intentmpc.sim as sim_module
@@ -23,11 +24,23 @@ from intentmpc import (
 )
 from intentmpc.scenario_io import report_doc, trace_to_csv
 from intentmpc.sim import SimStep, SimTrace, SimulationAborted, intruder_plan
-from intentmpc.solver import SolverConfig
+from intentmpc.solver import NumericalDomainError, SolverConfig
 
 OWN_BOUNDS = ControlBounds(v_min=6.0, v_max=9.0, u_min=-0.1, u_max=0.1)
 INTRUDER_BOUNDS = ControlBounds(v_min=10.0, v_max=10.0, u_min=-0.07, u_max=0.07)
 FAST_SOLVER = SolverConfig(outer_max_iters=8, inner_max_iters=120, optimality_tol=1e-3)
+
+
+def fail_at_step(monkeypatch, t_fail: int) -> None:
+    """Make the simulator's solve_step raise a domain error at step t_fail."""
+    real = sim_module.solve_step
+
+    def failing(own, intruder, t, *args):
+        if t == t_fail:
+            raise NumericalDomainError("objective", np.zeros(1), np.ones(1, dtype=bool))
+        return real(own, intruder, t, *args)
+
+    monkeypatch.setattr(sim_module, "solve_step", failing)
 
 
 def quiet_spec(**overrides) -> ScenarioSpec:
@@ -138,6 +151,13 @@ class TestClosedLoop:
     def test_prearrived_start_has_no_steps(self):
         trace = run_closed_loop(quiet_spec(own_start=Pose(110, 0, 0)))
         assert trace.arrived and not trace.steps
+
+    def test_domain_error_aborts_with_partial_trace(self, monkeypatch):
+        fail_at_step(monkeypatch, 2)
+        with pytest.raises(SimulationAborted, match="step 2") as err:
+            run_closed_loop(quiet_spec())
+        assert [s.t for s in err.value.trace.steps] == [0, 1]
+        assert not err.value.trace.arrived
 
     def test_no_conflict_min_separation_matches_nominal_geometry(self):
         # Receding intruder: separation is minimal at t=0 for any ownship

@@ -1,12 +1,13 @@
 """Tests for the augmented-Lagrangian solver on known problems."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from intentmpc import NlpProblem, NumericalDomainError, SolverConfig, check_gradient, solve
-from intentmpc.solver import GRAD_CENTRAL_FD, STATUS_CONVERGED
+from intentmpc.solver import STATUS_CONVERGED
 
 
 def clipped_quadratic() -> NlpProblem:
@@ -26,6 +27,7 @@ def circle_constrained_linear() -> NlpProblem:
         objective_grad=lambda z: np.array([1.0, 1.0]),
         constraints=lambda z: np.array([z[0] ** 2 + z[1] ** 2 - 1.0]),
         constraints_jac=lambda z: np.array([[2.0 * z[0], 2.0 * z[1]]]),
+        constraints_weighted_grad=lambda z, w: w[0] * np.array([2.0 * z[0], 2.0 * z[1]]),
         lower=np.array([-2.0, -2.0]),
         upper=np.array([2.0, 2.0]),
     )
@@ -80,13 +82,6 @@ class TestSolve:
         assert a.objective_value == b.objective_value
         assert (a.outer_iters, a.inner_iters_total) == (b.outer_iters, b.inner_iters_total)
 
-    def test_fd_mode_matches_analytic(self):
-        cfg_fd = SolverConfig(gradient_mode=GRAD_CENTRAL_FD)
-        a = solve(circle_constrained_linear(), np.array([0.5, -0.3]))
-        b = solve(circle_constrained_linear(), np.array([0.5, -0.3]), cfg_fd)
-        assert b.status == STATUS_CONVERGED
-        assert b.z_star == pytest.approx(a.z_star, abs=1e-4)
-
     def test_converged_respects_tolerances(self):
         res = solve(circle_constrained_linear(), np.array([0.5, -0.3]))
         assert res.max_violation <= 1e-4
@@ -106,6 +101,7 @@ class TestSolve:
             objective_grad=lambda z: np.array([2.0 * z[0]]),
             constraints=lambda z: np.array([2.0 - z[0]]),
             constraints_jac=lambda z: np.array([[-1.0]]),
+            constraints_weighted_grad=lambda z, w: -w,
             lower=np.array([-1.0]),
             upper=np.array([1.0]),
         )
@@ -124,7 +120,66 @@ class TestSolve:
         )
         with pytest.raises(NumericalDomainError) as err:
             solve(problem, np.zeros(2))
-        assert "objective" in str(err.value)
+        assert str(err.value).startswith("objective non-finite")
+        assert err.value.bad_indices.tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "what, bad, callables",
+        [
+            (
+                "objective gradient",
+                [1],
+                dict(objective_grad=lambda z: np.array([0.0, np.nan])),
+            ),
+            (
+                "constraints",
+                [0],
+                dict(
+                    constraints=lambda z: np.array([np.inf, 0.0]),
+                    constraints_weighted_grad=lambda z, w: np.zeros(2),
+                ),
+            ),
+            (
+                # The constraint is active at z = 0 (c = 1), so J^T w is evaluated.
+                "constraint gradient",
+                [0],
+                dict(
+                    constraints=lambda z: np.array([1.0 - z[0]]),
+                    constraints_weighted_grad=lambda z, w: np.array([np.nan, 0.0]),
+                ),
+            ),
+        ],
+        ids=["objective-gradient", "constraints", "constraint-gradient"],
+    )
+    def test_nonfinite_source_is_named(self, what, bad, callables):
+        fields = dict(
+            dimension=2,
+            objective=lambda z: float(z @ z),
+            objective_grad=lambda z: 2.0 * z,
+            lower=np.full(2, -1.0),
+            upper=np.full(2, 1.0),
+        )
+        problem = NlpProblem(**{**fields, **callables})
+        with pytest.raises(NumericalDomainError) as err:
+            solve(problem, np.zeros(2))
+        assert str(err.value).startswith(f"{what} non-finite")
+        assert err.value.bad_indices.tolist() == bad
+
+    def test_missing_objective_gradient_rejected(self):
+        with pytest.raises(ValueError, match="objective_grad"):
+            NlpProblem(dimension=1, objective=lambda z: z[0] ** 2, lower=np.array([-1.0]), upper=np.array([1.0]))
+
+    def test_constraints_without_weighted_gradient_rejected(self):
+        with pytest.raises(ValueError, match="constraints_weighted_grad"):
+            NlpProblem(
+                dimension=1,
+                objective=lambda z: z[0] ** 2,
+                objective_grad=lambda z: 2.0 * z,
+                constraints=lambda z: np.array([1.0 - z[0]]),
+                constraints_jac=lambda z: np.array([[-1.0]]),
+                lower=np.array([-1.0]),
+                upper=np.array([1.0]),
+            )
 
     def test_best_iterate_returned_on_budget_exhaustion(self):
         res = solve(rosenbrock(), np.array([-1.2, 1.0]), SolverConfig(outer_max_iters=1, inner_max_iters=5))
@@ -150,3 +205,12 @@ class TestCheckGradient:
             upper=np.array([1.0]),
         )
         assert check_gradient(problem, np.array([0.5])) > 1e-2
+
+    def test_detects_wrong_weighted_constraint_gradient(self):
+        # The dense Jacobian is right; only J^T w, the product the solver
+        # uses, is wrong (its second entry ignores z[1]).
+        problem = replace(
+            circle_constrained_linear(),
+            constraints_weighted_grad=lambda z, w: w[0] * np.array([2.0 * z[0], 2.0 * z[0]]),
+        )
+        assert check_gradient(problem, np.array([0.4, -0.2])) > 1e-2
