@@ -15,7 +15,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .dubins import Pose, control_schedule, shortest_path
-from .mpc import MpcMode
 from .plots import (
     plot_controls,
     plot_monte_carlo_separation,
@@ -23,14 +22,12 @@ from .plots import (
     plot_separation,
     plot_trajectories,
 )
-from .scenario_io import ScenarioError, dump_json, load_scenario, report_doc, summary_doc, trace_to_csv
+from .scenario_io import MODES, ScenarioError, dump_json, load_scenario, report_doc, summary_doc, trace_to_csv
 from .sim import SimulationAborted, run_closed_loop, run_monte_carlo
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_SOLVER_FAILURE = 3
-
-_MODES = {m.value: m for m in MpcMode}
 
 
 def _monte_carlo_workers() -> int:
@@ -49,7 +46,7 @@ def _monte_carlo_workers() -> int:
 def _load_spec(args):
     spec = load_scenario(args.scenario)
     if args.mode is not None:
-        spec = replace(spec, mode=_MODES[args.mode])
+        spec = replace(spec, mode=MODES[args.mode])
     if args.seed is not None:
         spec = replace(spec, rng_seed=args.seed)
     return spec
@@ -131,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one closed-loop encounter")
     sim.add_argument("--scenario", required=True, help="scenario JSON file")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--mode", choices=sorted(_MODES), help="override the scenario's controller mode")
+    sim.add_argument("--mode", choices=sorted(MODES), help="override the scenario's controller mode")
     sim.add_argument("--seed", type=int, help="override the scenario's RNG seed")
     sim.set_defaults(fn=cmd_simulate)
 
@@ -139,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--scenario", required=True)
     mc.add_argument("--out", required=True)
     mc.add_argument("--runs", type=int, default=20)
-    mc.add_argument("--mode", choices=sorted(_MODES))
+    mc.add_argument("--mode", choices=sorted(MODES))
     mc.add_argument("--seed", type=int)
     mc.set_defaults(fn=cmd_montecarlo)
 

@@ -59,15 +59,6 @@ class DubinsWord(Enum):
         return self.value
 
 
-WORD_ORDER: tuple[DubinsWord, ...] = (
-    DubinsWord.LSL,
-    DubinsWord.RSR,
-    DubinsWord.LSR,
-    DubinsWord.RSL,
-    DubinsWord.RLR,
-    DubinsWord.LRL,
-)
-
 # Turn direction per segment kind: +1 counterclockwise, -1 clockwise, 0 straight.
 _TURN_DIR = {"L": 1.0, "R": -1.0, "S": 0.0}
 
@@ -221,9 +212,9 @@ def solve_word(start: Pose, goal: Pose, turn_radius: float, word: DubinsWord) ->
 
 
 def shortest_path(start: Pose, goal: Pose, turn_radius: float) -> DubinsPath:
-    """Shortest path over all six words; ties resolve in WORD_ORDER."""
+    """Shortest path over all six words; ties resolve in DubinsWord declaration order."""
     best: DubinsPath | None = None
-    for word in WORD_ORDER:
+    for word in DubinsWord:
         path = solve_word(start, goal, turn_radius, word)
         if path is not None and (best is None or path.total_length < best.total_length):
             best = path

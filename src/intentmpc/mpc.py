@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .dubins import ControlSchedule, Pose
-from .dynamics import ControlBounds, ControlInput, ScenarioTree, TreeShape, build_scenario_tree, rollout
+from .dynamics import ControlBounds, ControlInput, ScenarioTree, TreeShape, build_scenario_tree
 from .solver import NlpProblem, SolverConfig, SolverResult, solve
 
 TWO_PI = 2.0 * math.pi
@@ -106,80 +107,76 @@ class MpcSolution:
     first_input: ControlInput
     solver: SolverResult
     controls: np.ndarray  # optimal decision vector, kept for warm starting
-    own_now: Pose
-    dt: float
 
-    @property
-    def own_predicted(self) -> tuple[Pose, ...]:
-        """Ownship poses over stages 0..N under `controls`, rolled out on access."""
-        n = len(self.controls) // 2
-        u, v = self.controls[:n].tolist(), self.controls[n:].tolist()
-        return rollout(self.own_now, [ControlInput(speed=vk, angular_rate=uk) for uk, vk in zip(u, v)], self.dt)
+
+class _Rollout(NamedTuple):
+    """What the callables read at one decision vector z."""
+
+    errors: np.ndarray  # (N+1, 3) tracking errors in (x, y, wrapped heading)
+    du: np.ndarray  # (N-1,) rate changes
+    cos_s: np.ndarray  # (N,) cos/sin of the headings at stages 0..N-1
+    sin_s: np.ndarray
+    a: np.ndarray  # (N+1,) a[k] = sum_{i<k} v_i sin(sigma_i)
+    b: np.ndarray  # (N+1,) b[k] = sum_{i<k} v_i cos(sigma_i)
+    dx: np.ndarray | None  # (M, N+1) ownship minus intruder position per scenario and stage;
+    dy: np.ndarray | None  # None in unconstrained mode
 
 
 class _SingleShooting:
-    """Vectorized states, cost, and derivatives of the ownship rollout.
+    """The NLP callables of one instance, reading one rollout record per z.
 
     Decision vector layout: z = (u_0..u_{N-1}, v_0..v_{N-1}).  Closed forms
     follow from the Euler model being a double cumulative sum: headings are
     cumsums of rates, positions are cumsums of heading-projected speeds.
+    The record of the last distinct z (keyed by its bytes) holds everything
+    the objective, its gradient, the separation constraints, their dense
+    Jacobian and J^T w need, so the solver's calls at one z share one
+    rollout.
     """
 
-    def __init__(self, own_now: Pose, config: MpcConfig):
+    def __init__(self, own_now: Pose, tree: ScenarioTree, config: MpcConfig):
         self.n = config.horizon
         self.dt = config.dt
         self.start = own_now
         self.target = config.target
         self.weights = config.weights
-        self._memo_key: bytes | None = None
-        self._memo: tuple | None = None
+        # Intruder positions per scenario and stage, fixed for this instance.
+        self.intr_x = self.intr_y = None
+        if config.mode is not MpcMode.UNCONSTRAINED:
+            self.intr_x, self.intr_y = tree.states[:, :, 0], tree.states[:, :, 1]
+        self.rho_sq = config.min_separation**2
+        self._key: bytes | None = None
+        self._rec: _Rollout | None = None
 
-    def states(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ownship (x, y, heading) arrays over stages 0..N."""
+    def _record(self, z: np.ndarray) -> _Rollout:
         key = z.tobytes()
-        if key == self._memo_key:
-            return self._memo  # type: ignore[return-value]
-        n, dt = self.n, self.dt
+        if key == self._key:
+            return self._rec  # type: ignore[return-value]
+        n, dt, start = self.n, self.dt, self.start
         u, v = z[:n], z[n:]
         sigma = np.empty(n + 1)
-        sigma[0] = self.start.heading
-        sigma[1:] = self.start.heading + dt * np.cumsum(u)
+        sigma[0] = start.heading
+        sigma[1:] = start.heading + dt * np.cumsum(u)
         cos_s, sin_s = np.cos(sigma[:n]), np.sin(sigma[:n])
-        x = np.empty(n + 1)
-        y = np.empty(n + 1)
-        x[0], y[0] = self.start.x, self.start.y
-        x[1:] = self.start.x + dt * np.cumsum(v * cos_s)
-        y[1:] = self.start.y + dt * np.cumsum(v * sin_s)
-        self._memo_key = key
-        self._memo = (x, y, sigma)
-        return x, y, sigma
+        a = np.concatenate(([0.0], np.cumsum(v * sin_s)))
+        b = np.concatenate(([0.0], np.cumsum(v * cos_s)))
+        x = np.concatenate(([start.x], start.x + dt * b[1:]))
+        y = np.concatenate(([start.y], start.y + dt * a[1:]))
+        errors = np.column_stack((x - self.target.x, y - self.target.y, wrap_angles(sigma - self.target.heading)))
+        dx = dy = None
+        if self.intr_x is not None:
+            dx, dy = x[None, :] - self.intr_x, y[None, :] - self.intr_y
+        self._key = key
+        self._rec = _Rollout(errors, np.diff(u), cos_s, sin_s, a, b, dx, dy)
+        return self._rec
 
-    def _errors(self, z: np.ndarray) -> np.ndarray:
-        x, y, sigma = self.states(z)
-        return np.column_stack((x - self.target.x, y - self.target.y, wrap_angles(sigma - self.target.heading)))
-
-    def objective(self, z: np.ndarray) -> float:
-        n = self.n
-        e = self._errors(z)
-        q, qf, r = self.weights.state_weight, self.weights.terminal_weight, self.weights.rate_smoothing
-        stage = float(np.einsum("ki,ij,kj->", e[:n], q, e[:n]))
-        terminal = float(e[n] @ qf @ e[n])
-        du = np.diff(z[:n])
-        return stage + terminal + r * float(np.dot(du, du))
-
-    def state_gradient_to_controls(self, z: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def _pullback(self, rec: _Rollout, lam: np.ndarray) -> np.ndarray:
         """Pull a per-stage state gradient lam (N+1, 3) back to the controls.
 
         Uses the cumulative-sum structure: the sensitivity of x_k to u_j is
         -dt^2 * sum_{j<i<k} v_i sin(sigma_i), and similarly for y with +cos.
         """
-        n, dt = self.n, self.dt
-        u, v = z[:n], z[n:]
-        _, _, sigma = self.states(z)
-        cos_s, sin_s = np.cos(sigma[:n]), np.sin(sigma[:n])
-
-        a = np.concatenate(([0.0], np.cumsum(v * sin_s)))  # a[k] = sum_{i<k} v_i sin sigma_i
-        b = np.concatenate(([0.0], np.cumsum(v * cos_s)))
+        dt, a, b = self.dt, rec.a, rec.b
 
         def suffix(arr: np.ndarray) -> np.ndarray:
             # suffix[j] = sum over stages k > j (j = 0..N-1)
@@ -190,39 +187,57 @@ class _SingleShooting:
         sxa, syb = suffix(lx * a), suffix(ly * b)
 
         gu = -dt * dt * (sxa - a[1:] * sx1) + dt * dt * (syb - b[1:] * sy1) + dt * ss1
-        gv = dt * (cos_s * sx1 + sin_s * sy1)
+        gv = dt * (rec.cos_s * sx1 + rec.sin_s * sy1)
         return np.concatenate((gu, gv))
 
+    def objective(self, z: np.ndarray) -> float:
+        n, rec = self.n, self._record(z)
+        e = rec.errors
+        q, qf, r = self.weights.state_weight, self.weights.terminal_weight, self.weights.rate_smoothing
+        stage = float(np.einsum("ki,ij,kj->", e[:n], q, e[:n]))
+        terminal = float(e[n] @ qf @ e[n])
+        return stage + terminal + r * float(np.dot(rec.du, rec.du))
+
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
-        n = self.n
-        e = self._errors(z)
+        n, rec = self.n, self._record(z)
+        e = rec.errors
         q, qf, r = self.weights.state_weight, self.weights.terminal_weight, self.weights.rate_smoothing
         lam = np.empty((n + 1, 3))
         lam[:n] = 2.0 * e[:n] @ q
         lam[n] = 2.0 * e[n] @ qf
-        g = self.state_gradient_to_controls(z, lam)
-        du = np.diff(z[:n])
-        g[: n - 1] -= 2.0 * r * du
-        g[1:n] += 2.0 * r * du
+        g = self._pullback(rec, lam)
+        g[: n - 1] -= 2.0 * r * rec.du
+        g[1:n] += 2.0 * r * rec.du
         return g
 
-    def position_jacobians(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dense Jacobians of x and y (stages 0..N) w.r.t. z, each (N+1, 2N)."""
-        n, dt = self.n, self.dt
-        v = z[n:]
-        _, _, sigma = self.states(z)
-        cos_s, sin_s = np.cos(sigma[:n]), np.sin(sigma[:n])
-        a = np.concatenate(([0.0], np.cumsum(v * sin_s)))
-        b = np.concatenate(([0.0], np.cumsum(v * cos_s)))
+    def constraints(self, z: np.ndarray) -> np.ndarray:
+        rec = self._record(z)
+        return (self.rho_sq - rec.dx**2 - rec.dy**2).ravel()
 
+    def constraints_weighted_grad(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """J^T w without forming J: aggregate the weights into one per-stage
+        position gradient, then pull it back through the rollout."""
+        rec = self._record(z)
+        w2 = w.reshape(rec.dx.shape)
+        lam = np.zeros((self.n + 1, 3))
+        lam[:, 0] = -2.0 * np.einsum("jk,jk->k", w2, rec.dx)
+        lam[:, 1] = -2.0 * np.einsum("jk,jk->k", w2, rec.dy)
+        return self._pullback(rec, lam)
+
+    def constraints_jac(self, z: np.ndarray) -> np.ndarray:
+        """Dense Jacobian, the oracle for check_gradient; the solver uses J^T w."""
+        n, dt, rec = self.n, self.dt, self._record(z)
+        a, b = rec.a, rec.b
+        # Position Jacobians over stages 0..N, each (N+1, 2N).
         later = np.arange(n)[None, :] < np.arange(n + 1)[:, None]  # [k, j] = (j < k)
         jx = np.empty((n + 1, 2 * n))
         jy = np.empty((n + 1, 2 * n))
         jx[:, :n] = -dt * dt * (a[:, None] - a[None, 1:]) * later
-        jx[:, n:] = dt * cos_s[None, :] * later
+        jx[:, n:] = dt * rec.cos_s[None, :] * later
         jy[:, :n] = dt * dt * (b[:, None] - b[None, 1:]) * later
-        jy[:, n:] = dt * sin_s[None, :] * later
-        return jx, jy
+        jy[:, n:] = dt * rec.sin_s[None, :] * later
+        jac = -2.0 * (rec.dx[:, :, None] * jx[None, :, :] + rec.dy[:, :, None] * jy[None, :, :])
+        return jac.reshape(-1, 2 * n)
 
 
 def _prediction_tree(intruder_now: Pose, t: int, intent_schedule: ControlSchedule, config: MpcConfig) -> ScenarioTree:
@@ -252,52 +267,21 @@ def build_problem(
         raise ValueError(f"absolute step must be >= 0, got {t}")
     n = config.horizon
     tree = _prediction_tree(intruder_now, t, intent_schedule, config)
-    shoot = _SingleShooting(own_now, config)
+    shoot = _SingleShooting(own_now, tree, config)
 
     ob = config.own_bounds
     lower = np.concatenate((np.full(n, ob.u_min), np.full(n, ob.v_min)))
     upper = np.concatenate((np.full(n, ob.u_max), np.full(n, ob.v_max)))
-
-    constraints = constraints_jac = constraints_weighted_grad = None
-    if config.mode is not MpcMode.UNCONSTRAINED:
-        # Intruder positions per scenario and stage, fixed for this instance;
-        # contiguous copies because every constraint evaluation reads them.
-        intr_x = np.ascontiguousarray(tree.states[:, :, 0])
-        intr_y = np.ascontiguousarray(tree.states[:, :, 1])
-        rho_sq = config.min_separation**2
-
-        def constraints(z: np.ndarray) -> np.ndarray:
-            x, y, _ = shoot.states(z)
-            return (rho_sq - (x[None, :] - intr_x) ** 2 - (y[None, :] - intr_y) ** 2).ravel()
-
-        def constraints_jac(z: np.ndarray) -> np.ndarray:
-            # Dense, for check_gradient only; the solver uses J^T w below.
-            x, y, _ = shoot.states(z)
-            jx, jy = shoot.position_jacobians(z)
-            dx = x[None, :] - intr_x  # (M, N+1)
-            dy = y[None, :] - intr_y
-            jac = -2.0 * (dx[:, :, None] * jx[None, :, :] + dy[:, :, None] * jy[None, :, :])
-            return jac.reshape(-1, 2 * n)
-
-        def constraints_weighted_grad(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-            # J^T w without forming J: aggregate the weights into one per-stage
-            # position gradient, then pull it back through the rollout.
-            x, y, _ = shoot.states(z)
-            w2 = w.reshape(intr_x.shape)
-            lam = np.zeros((n + 1, 3))
-            lam[:, 0] = -2.0 * np.einsum("jk,jk->k", w2, x[None, :] - intr_x)
-            lam[:, 1] = -2.0 * np.einsum("jk,jk->k", w2, y[None, :] - intr_y)
-            return shoot.state_gradient_to_controls(z, lam)
-
+    constrained = config.mode is not MpcMode.UNCONSTRAINED
     problem = NlpProblem(
         dimension=2 * n,
         objective=shoot.objective,
         objective_grad=shoot.objective_grad,
         lower=lower,
         upper=upper,
-        constraints=constraints,
-        constraints_jac=constraints_jac,
-        constraints_weighted_grad=constraints_weighted_grad,
+        constraints=shoot.constraints if constrained else None,
+        constraints_jac=shoot.constraints_jac if constrained else None,
+        constraints_weighted_grad=shoot.constraints_weighted_grad if constrained else None,
     )
     return problem, tree
 
@@ -329,11 +313,5 @@ def solve_step(
     z = result.z_star
     n = config.horizon
     first = config.own_bounds.clamp(ControlInput(speed=float(z[n]), angular_rate=float(z[0])))
-    return MpcSolution(
-        first_input=first,
-        solver=result,
-        controls=z,
-        own_now=own_now,
-        dt=config.dt,
-    )
+    return MpcSolution(first_input=first, solver=result, controls=z)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ DEG = math.pi / 180.0
 
 CSV_HEADER = "t,own_x,own_y,own_heading,intr_x,intr_y,intr_heading,v,u,separation,solver_status,solve_ms"
 
-_MODES = {m.value: m for m in MpcMode}
+MODES = {m.value: m for m in MpcMode}
 
 
 class ScenarioError(ValueError):
@@ -121,9 +121,9 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
         raise ScenarioError("mpc.N_r", f"robust horizon must lie in [0, {n}]")
     rho = _number(mpc["rho"], "mpc.rho")
     mode_name = mpc["mode"]
-    if mode_name not in _MODES:
-        raise ScenarioError("mpc.mode", f"expected one of {sorted(_MODES)}, got {mode_name!r}")
-    mode = _MODES[mode_name]
+    if not isinstance(mode_name, str) or mode_name not in MODES:
+        raise ScenarioError("mpc.mode", f"expected one of {sorted(MODES)}, got {mode_name!r}")
+    mode = MODES[mode_name]
     if rho <= 0 and mode is not MpcMode.UNCONSTRAINED:
         raise ScenarioError("mpc.rho", "minimum separation must be positive")
     try:
@@ -264,7 +264,7 @@ def summary_doc(trace: SimTrace) -> dict:
         "steps": len(trace.steps),
         "arrived": trace.arrived,
         "terminal_status": trace.terminal_status,
-        "metrics": m.as_dict(),
+        "metrics": asdict(m),
         "flagged_steps": sum(1 for s in trace.steps if s.flagged),
         "seed": trace.spec.rng_seed,
     }

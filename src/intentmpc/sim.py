@@ -233,16 +233,6 @@ class SimMetrics:
     violation_stages: int
     max_solver_iterations: int
 
-    def as_dict(self) -> dict:
-        return {
-            "min_separation": self.min_separation,
-            "min_separation_time": self.min_separation_time,
-            "path_length": self.path_length,
-            "arrival_time": self.arrival_time,
-            "violation_stages": self.violation_stages,
-            "max_solver_iterations": self.max_solver_iterations,
-        }
-
 
 def metrics(trace: SimTrace) -> SimMetrics:
     """Summary metrics, recomputed from the recorded poses."""

@@ -26,7 +26,7 @@ class NumericalDomainError(RuntimeError):
         self.z = np.array(z)
         self.bad_indices = np.flatnonzero(bad)
         super().__init__(
-            f"{what} non-finite at indices {self.bad_indices.tolist()} for decision vector {z.tolist()}"
+            f"{what} non-finite at indices {self.bad_indices.tolist()} for decision vector {self.z.tolist()}"
         )
 
 

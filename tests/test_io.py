@@ -111,9 +111,10 @@ class TestScenarioParsing:
         assert "mpc.rho" in str(err.value)
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ScenarioError) as err:
-            parse_scenario(quick_doc(**{"mpc.mode": "fancy"}))
-        assert "mpc.mode" in str(err.value)
+        for bad in ("fancy", []):
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario(quick_doc(**{"mpc.mode": bad}))
+            assert "mpc.mode" in str(err.value)
 
     def test_nonfinite_number_rejected(self):
         doc = quick_doc()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intentmpc import (
     ControlInput,
@@ -104,8 +106,9 @@ class TestBuildProblem:
         assert np.all(problem.lower[:n] == OWN_BOUNDS.u_min) and np.all(problem.upper[:n] == OWN_BOUNDS.u_max)
         assert np.all(problem.lower[n:] == OWN_BOUNDS.v_min) and np.all(problem.upper[n:] == OWN_BOUNDS.v_max)
 
-    def test_gradients_match_finite_differences(self):
-        problem, _ = build_problem(Pose(100, 20, 0.1), Pose(600, -150, 2.3), 5, crossing_schedule(), config())
+    @pytest.mark.parametrize("mode", list(MpcMode), ids=lambda m: m.value)
+    def test_gradients_match_finite_differences(self, mode):
+        problem, _ = build_problem(Pose(100, 20, 0.1), Pose(600, -150, 2.3), 5, crossing_schedule(), config(mode))
         rng = np.random.default_rng(3)
         for _ in range(3):
             z = rng.uniform(problem.lower, problem.upper)
@@ -120,6 +123,54 @@ class TestBuildProblem:
         e0 = np.array([own.x - 900.0, own.y, 0.0])
         base = float(e0 @ cfg.weights.state_weight @ e0)
         assert problem.objective(z) >= base
+
+
+CALLABLES = ("objective", "objective_grad", "constraints", "constraints_weighted_grad", "constraints_jac")
+
+
+def evaluate(problem, tree, name, z):
+    if name == "constraints_weighted_grad":
+        # Sized from the tree, not by calling constraints at z first.
+        w = np.random.default_rng(1).uniform(0.0, 2.0, tree.states.shape[0] * tree.states.shape[1])
+        w[::2] = 0.0
+        return problem.constraints_weighted_grad(z, w)
+    return getattr(problem, name)(z)
+
+
+@st.composite
+def call_sequences(draw):
+    """A mode, horizon, pool of z vectors and a call sequence over them.
+
+    Each call names a pool entry (so entries are revisited), a callable, and
+    whether to toggle one of the entry's first two coordinates in place first
+    (so an array also returns to bytes it had before).
+    """
+    mode = draw(st.sampled_from(list(MpcMode)))
+    horizon = draw(st.integers(1, 12))
+    pool_size = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    calls = st.tuples(st.integers(0, pool_size - 1), st.sampled_from(CALLABLES), st.sampled_from((None, 0, 1)))
+    return mode, horizon, pool_size, seed, draw(st.lists(calls, min_size=1, max_size=20))
+
+
+class TestSharedRecord:
+    @settings(max_examples=60, deadline=None)
+    @given(call_sequences())
+    def test_every_call_matches_a_fresh_problem(self, case):
+        mode, horizon, pool_size, seed, calls = case
+        args = (Pose(100, 20, 0.1), Pose(300, -60, 2.3), 5, crossing_schedule(), config(mode, horizon, min(2, horizon)))
+        problem, tree = build_problem(*args)
+        rng = np.random.default_rng(seed)
+        pool = [rng.uniform(problem.lower, problem.upper) for _ in range(pool_size)]
+        toggled = [rng.uniform(problem.lower, problem.upper) for _ in range(pool_size)]
+        for i, name, flip in calls:
+            if flip is not None:
+                z, other = pool[i], toggled[i]
+                z[flip], other[flip] = other[flip], z[flip]
+            if problem.constraints is None and name.startswith("constraints"):
+                continue
+            fresh, _ = build_problem(*args)
+            assert np.array_equal(evaluate(problem, tree, name, pool[i]), evaluate(fresh, tree, name, pool[i].copy()))
 
 
 class TestSolveStep:
@@ -163,11 +214,6 @@ class TestSolveStep:
         sol = solve_step(Pose(0, 0, 0), Pose(1e4, 1e4, 0), 0, crossing_schedule(), cfg)
         assert OWN_BOUNDS.u_min <= sol.first_input.angular_rate <= OWN_BOUNDS.u_max
         assert OWN_BOUNDS.v_min <= sol.first_input.speed <= OWN_BOUNDS.v_max
-
-    def test_predicted_states_have_horizon_plus_one_poses(self):
-        sol = solve_step(Pose(0, 0, 0), Pose(800, -350, 2.36), 0, crossing_schedule(), config())
-        assert len(sol.own_predicted) == 31
-        assert sol.own_predicted[0] == Pose(0, 0, 0)
 
     def test_tree_optimum_is_classic_feasible(self):
         # The nominal scenario is one of the 27, so classic constraints must

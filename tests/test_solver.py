@@ -123,6 +123,11 @@ class TestSolve:
         assert str(err.value).startswith("objective non-finite")
         assert err.value.bad_indices.tolist() == [0]
 
+    def test_domain_error_accepts_lists(self):
+        err = NumericalDomainError("objective", [0.0, 1.0], [False, True])
+        assert err.bad_indices.tolist() == [1]
+        assert str(err) == "objective non-finite at indices [1] for decision vector [0.0, 1.0]"
+
     @pytest.mark.parametrize(
         "what, bad, callables",
         [

@@ -21,9 +21,17 @@ def test_traced_solve_step_records_problem_spans(monkeypatch):
 
     tracer = tracing.install()
     try:
-        # Head-on intruder close enough that separation rows are evaluated.
-        solve_step(Pose(0, 0, 0), Pose(480, 0, math.pi), 0, crossing_schedule(), config(MpcMode.CLASSIC, horizon=10))
+        # Head-on intruder close enough that the cold start violates
+        # separation rows, so the solver also takes J^T w.
+        solve_step(Pose(0, 0, 0), Pose(300, 0, math.pi), 0, crossing_schedule(), config(MpcMode.CLASSIC, horizon=10))
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
-    assert {"mpc.build_problem", "mpc.objective_grad", "mpc.constraints", "solver.solve"} <= names
+    assert {
+        "mpc.build_problem",
+        "mpc.objective",
+        "mpc.objective_grad",
+        "mpc.constraints",
+        "mpc.jtw",
+        "solver.solve",
+    } <= names
