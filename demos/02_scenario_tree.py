@@ -25,8 +25,8 @@ LABEL = {0: "upper", 1: "lower", 2: "nominal"}
 
 
 def main() -> None:
-    shape = TreeShape(m=3, robust_horizon=3, horizon=30)
-    print(f"m={shape.m}, robust horizon={shape.robust_horizon} -> {shape.scenario_count} scenarios")
+    shape = TreeShape(robust_horizon=3, horizon=30)
+    print(f"m=3, robust horizon={shape.robust_horizon} -> {shape.scenario_count} scenarios")
 
     print("\nbranch tuples (scenario -> first three stages):")
     for j in range(1, shape.scenario_count + 1):

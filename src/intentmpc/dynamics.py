@@ -25,6 +25,7 @@ from .dubins import ControlSchedule, Pose
 BRANCH_UPPER = 0
 BRANCH_LOWER = 1
 BRANCH_NOMINAL = 2
+BRANCH_COUNT = 3  # every robust stage branches over {upper, lower, nominal}
 
 
 @dataclass(frozen=True)
@@ -63,15 +64,14 @@ class ControlBounds:
 
 @dataclass(frozen=True)
 class TreeShape:
-    """Branching layout: m branches per stage over the robust horizon."""
+    """Branching layout: each of the first `robust_horizon` of `horizon`
+    stages branches over the three intruder rates, so the tree has
+    3**robust_horizon scenarios."""
 
-    m: int
     robust_horizon: int
     horizon: int
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"branch count must be >= 1, got {self.m}")
         # robust_horizon == 0 is the degenerate single-scenario (nominal) tree.
         if not 0 <= self.robust_horizon <= self.horizon:
             raise ValueError(
@@ -80,7 +80,7 @@ class TreeShape:
 
     @property
     def scenario_count(self) -> int:
-        return self.m**self.robust_horizon
+        return BRANCH_COUNT**self.robust_horizon
 
 
 class _RowView(Sequence):
@@ -155,7 +155,7 @@ def rollout(initial: Pose, inputs: list[ControlInput] | tuple[ControlInput, ...]
 def branch_index(j: int, k: int, shape: TreeShape) -> int:
     """Branch taken by scenario j (1-based) at stage k.
 
-    Over the robust horizon this is digit k of j-1 in base m, most significant
+    Over the robust horizon this is digit k of j-1 in base 3, most significant
     first; afterwards every scenario follows the nominal branch.
     """
     if not 1 <= j <= shape.scenario_count:
@@ -164,18 +164,18 @@ def branch_index(j: int, k: int, shape: TreeShape) -> int:
         raise ValueError(f"stage {k} outside 0..{shape.horizon - 1}")
     if k >= shape.robust_horizon:
         return BRANCH_NOMINAL
-    return (math.ceil(j / shape.m ** (shape.robust_horizon - 1 - k)) - 1) % shape.m
+    return (math.ceil(j / BRANCH_COUNT ** (shape.robust_horizon - 1 - k)) - 1) % BRANCH_COUNT
 
 
 def branch_table(shape: TreeShape) -> np.ndarray:
     """Branches of every scenario at every stage, (M, N) integers.
 
-    Row j-1 is `branch_index(j, k, shape)` for k = 0..N-1: the base-m digits
+    Row j-1 is `branch_index(j, k, shape)` for k = 0..N-1: the base-3 digits
     of j-1, most significant first, then nominal past the robust horizon.
     """
     table = np.full((shape.scenario_count, shape.horizon), BRANCH_NOMINAL)
-    powers = shape.m ** np.arange(shape.robust_horizon - 1, -1, -1)
-    table[:, : shape.robust_horizon] = np.arange(shape.scenario_count)[:, None] // powers % shape.m
+    powers = BRANCH_COUNT ** np.arange(shape.robust_horizon - 1, -1, -1)
+    table[:, : shape.robust_horizon] = np.arange(shape.scenario_count)[:, None] // powers % BRANCH_COUNT
     return table
 
 
@@ -199,8 +199,6 @@ def build_scenario_tree(
     Branches are upper rate / lower rate / nominal-schedule rate; speed is
     pinned at the intruder's maximum everywhere.
     """
-    if shape.robust_horizon > 0 and shape.m != 3:
-        raise ValueError(f"branching is over {{upper, lower, nominal}}, so m must be 3, got {shape.m}")
     if t < 0:
         raise ValueError(f"absolute time must be >= 0, got {t}")
     if not dt > 0.0:

@@ -44,8 +44,13 @@ class MpcMode(Enum):
 
 @dataclass(frozen=True)
 class MpcWeights:
-    """Quadratic tracking weights: 3x3 stage/terminal matrices over
-    (x, y, heading) error and a scalar penalty on angular-rate changes."""
+    """Quadratic tracking weights: the diagonals of the stage and terminal
+    weights over (x, y, heading) error, and a scalar penalty on
+    angular-rate changes.
+
+    Every entry must be finite; the stage diagonal is nonnegative, the
+    terminal diagonal and the smoothing weight are positive.
+    """
 
     state_weight: np.ndarray
     terminal_weight: np.ndarray
@@ -54,30 +59,24 @@ class MpcWeights:
     def __post_init__(self) -> None:
         q = np.asarray(self.state_weight, dtype=float)
         qf = np.asarray(self.terminal_weight, dtype=float)
-        for name, m in (("state_weight", q), ("terminal_weight", qf)):
-            if m.shape != (3, 3):
-                raise ValueError(f"{name} must be 3x3")
-            if not np.allclose(m, m.T, atol=1e-12):
-                raise ValueError(f"{name} must be symmetric")
-        if np.min(np.linalg.eigvalsh(q)) < -1e-12:
-            raise ValueError("state_weight must be positive semidefinite")
-        if np.min(np.linalg.eigvalsh(qf)) <= 0.0:
-            raise ValueError("terminal_weight must be positive definite")
-        if not self.rate_smoothing > 0.0:
-            raise ValueError("rate_smoothing must be positive")
+        for name, d in (("state_weight", q), ("terminal_weight", qf)):
+            if d.shape != (3,):
+                raise ValueError(f"{name} must hold three diagonal entries")
+            if not np.isfinite(d).all():
+                raise ValueError(f"{name} must be finite")
+        if np.any(q < 0.0):
+            raise ValueError("state_weight must be nonnegative")
+        if np.any(qf <= 0.0):
+            raise ValueError("terminal_weight must be positive")
+        if not (math.isfinite(self.rate_smoothing) and self.rate_smoothing > 0.0):
+            raise ValueError("rate_smoothing must be finite and positive")
         object.__setattr__(self, "state_weight", q)
         object.__setattr__(self, "terminal_weight", qf)
-
-    @staticmethod
-    def from_diagonals(q_diag, qf_diag, rate_smoothing: float) -> "MpcWeights":
-        return MpcWeights(np.diag(np.asarray(q_diag, dtype=float)),
-                          np.diag(np.asarray(qf_diag, dtype=float)),
-                          float(rate_smoothing))
 
 
 # Position-dominant tracking with terminal heading alignment; tunable per
 # scenario, not a claim about any reference data.
-DEFAULT_WEIGHTS = MpcWeights.from_diagonals((0.01, 0.01, 0.0), (1.0, 1.0, 10.0), 100.0)
+DEFAULT_WEIGHTS = MpcWeights((0.01, 0.01, 0.0), (1.0, 1.0, 10.0), 100.0)
 
 
 @dataclass(frozen=True)
@@ -194,8 +193,8 @@ class _SingleShooting:
         n, rec = self.n, self._record(z)
         e = rec.errors
         q, qf, r = self.weights.state_weight, self.weights.terminal_weight, self.weights.rate_smoothing
-        stage = float(np.einsum("ki,ij,kj->", e[:n], q, e[:n]))
-        terminal = float(e[n] @ qf @ e[n])
+        stage = float(np.einsum("ki,i,ki->", e[:n], q, e[:n]))
+        terminal = float(np.dot(e[n] * qf, e[n]))
         return stage + terminal + r * float(np.dot(rec.du, rec.du))
 
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
@@ -203,8 +202,8 @@ class _SingleShooting:
         e = rec.errors
         q, qf, r = self.weights.state_weight, self.weights.terminal_weight, self.weights.rate_smoothing
         lam = np.empty((n + 1, 3))
-        lam[:n] = 2.0 * e[:n] @ q
-        lam[n] = 2.0 * e[n] @ qf
+        lam[:n] = 2.0 * e[:n] * q
+        lam[n] = 2.0 * e[n] * qf
         g = self._pullback(rec, lam)
         g[: n - 1] -= 2.0 * r * rec.du
         g[1:n] += 2.0 * r * rec.du
@@ -242,12 +241,12 @@ class _SingleShooting:
 
 def _prediction_tree(intruder_now: Pose, t: int, intent_schedule: ControlSchedule, config: MpcConfig) -> ScenarioTree:
     if config.mode is MpcMode.SCENARIO_TREE:
-        shape = TreeShape(m=3, robust_horizon=config.robust_horizon, horizon=config.horizon)
+        shape = TreeShape(robust_horizon=config.robust_horizon, horizon=config.horizon)
         schedule = intent_schedule
     else:
         # Single-scenario prediction; no-intent replaces the schedule with an
         # empty one, which reads as all-zero rates (straight-line intruder).
-        shape = TreeShape(m=3, robust_horizon=0, horizon=config.horizon)
+        shape = TreeShape(robust_horizon=0, horizon=config.horizon)
         if config.mode is MpcMode.NO_INTENT:
             schedule = ControlSchedule(speed=intent_schedule.speed, dt=intent_schedule.dt, angular_rates=())
         else:

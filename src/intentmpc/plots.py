@@ -129,12 +129,12 @@ def _axes(frame: Frame, x_label: str, y_label: str) -> list[str]:
     return parts
 
 
-def _document(title: str, body: list[str]) -> str:
+def _document(title: str, body: list[str], height: int = HEIGHT) -> str:
     head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
+        f'viewBox="0 0 {WIDTH} {height}">'
     )
-    return "\n".join([head, f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>', _text(MARGIN_L, 18, title, 14)] + body + ["</svg>"]) + "\n"
+    return "\n".join([head, f'<rect width="{WIDTH}" height="{height}" fill="#ffffff"/>', _text(MARGIN_L, 18, title, 14)] + body + ["</svg>"]) + "\n"
 
 
 def _own_points(trace: SimTrace):
@@ -202,31 +202,23 @@ def plot_controls(trace: SimTrace) -> str:
     us = [(s.t, s.applied.angular_rate) for s in trace.steps]
     ob = spec.own_bounds
 
-    parts = [f'<rect width="{WIDTH}" height="{2*HEIGHT}" fill="#ffffff"/>']
-    doc_open = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{2*HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {2*HEIGHT}">'
-    )
-
     pad_v = 0.1 * (ob.v_max - ob.v_min + 1.0)
     frame_v = Frame(0.0, float(ts[-1]), ob.v_min - pad_v, ob.v_max + pad_v)
-    parts.append(_text(MARGIN_L, 18, "applied linear velocity", 14))
-    parts.extend(_axes(frame_v, "time [s]", "speed [m/s]"))
+    parts = _axes(frame_v, "time [s]", "speed [m/s]")
     for bound in (ob.v_min, ob.v_max):
         parts.append(_polyline(frame_v, [(frame_v.x_lo, bound), (frame_v.x_hi, bound)], GRAY, 1.0, dashed=True))
     parts.append(_polyline(frame_v, vs, BLUE, 2.0))
 
     pad_u = 0.15 * (ob.u_max - ob.u_min)
     frame_u = Frame(0.0, float(ts[-1]), ob.u_min - pad_u, ob.u_max + pad_u)
-    group = [f'<g transform="translate(0,{HEIGHT})">']
-    group.append(_text(MARGIN_L, 18, "applied angular velocity", 14))
-    group.extend(_axes(frame_u, "time [s]", "angular rate [rad/s]"))
+    parts.append(f'<g transform="translate(0,{HEIGHT})">')
+    parts.append(_text(MARGIN_L, 18, "applied angular velocity", 14))
+    parts.extend(_axes(frame_u, "time [s]", "angular rate [rad/s]"))
     for bound in (ob.u_min, 0.0, ob.u_max):
-        group.append(_polyline(frame_u, [(frame_u.x_lo, bound), (frame_u.x_hi, bound)], GRAY, 1.0, dashed=True))
-    group.append(_polyline(frame_u, us, RED, 2.0))
-    group.append("</g>")
-    parts.extend(group)
-    return "\n".join([doc_open] + parts + ["</svg>"]) + "\n"
+        parts.append(_polyline(frame_u, [(frame_u.x_lo, bound), (frame_u.x_hi, bound)], GRAY, 1.0, dashed=True))
+    parts.append(_polyline(frame_u, us, RED, 2.0))
+    parts.append("</g>")
+    return _document("applied linear velocity", parts, 2 * HEIGHT)
 
 
 def plot_monte_carlo_trajectories(report: MonteCarloReport) -> str:

@@ -127,9 +127,7 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
     if rho <= 0 and mode is not MpcMode.UNCONSTRAINED:
         raise ScenarioError("mpc.rho", "minimum separation must be positive")
     try:
-        weights = MpcWeights.from_diagonals(
-            _triple(mpc["Q"], "mpc.Q"), _triple(mpc["Qf"], "mpc.Qf"), _number(mpc["R"], "mpc.R")
-        )
+        weights = MpcWeights(_triple(mpc["Q"], "mpc.Q"), _triple(mpc["Qf"], "mpc.Qf"), _number(mpc["R"], "mpc.R"))
     except ValueError as err:
         raise ScenarioError("mpc", str(err)) from err
 

@@ -18,6 +18,14 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_INFEASIBLE = "infeasible_stationary"
 
+# Fixed augmented-Lagrangian schedule: a point is feasible when no constraint
+# exceeds CONSTRAINT_TOL; the penalty starts at INITIAL_PENALTY and grows by
+# PENALTY_GROWTH whenever the violation failed to shrink by VIOLATION_SHRINK.
+CONSTRAINT_TOL = 1e-4
+INITIAL_PENALTY = 10.0
+PENALTY_GROWTH = 10.0
+VIOLATION_SHRINK = 4.0
+
 
 class NumericalDomainError(RuntimeError):
     """Objective or constraint produced a non-finite value."""
@@ -47,14 +55,12 @@ class NlpProblem:
     objective: Callable[[np.ndarray], float]
     lower: np.ndarray
     upper: np.ndarray
-    objective_grad: Callable[[np.ndarray], np.ndarray] | None = None
+    objective_grad: Callable[[np.ndarray], np.ndarray]
     constraints: Callable[[np.ndarray], np.ndarray] | None = None
     constraints_jac: Callable[[np.ndarray], np.ndarray] | None = None
     constraints_weighted_grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.objective_grad is None:
-            raise ValueError("objective_grad is required")
         if self.constraints is not None and self.constraints_weighted_grad is None:
             raise ValueError("constraints require constraints_weighted_grad (J^T w)")
         lo = np.asarray(self.lower, dtype=float)
@@ -72,20 +78,16 @@ class NlpProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Iteration budgets and the stationarity tolerance; the rest of the
+    augmented-Lagrangian schedule is fixed by the module constants."""
+
     outer_max_iters: int = 50
     inner_max_iters: int = 200
-    constraint_tol: float = 1e-4
     optimality_tol: float = 1e-4
-    initial_penalty: float = 10.0
-    penalty_growth: float = 10.0
-    # Penalty grows only when the violation failed to shrink by this factor.
-    violation_shrink: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.constraint_tol <= 0 or self.optimality_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.penalty_growth <= 1:
-            raise ValueError("penalty growth must exceed 1")
+        if self.optimality_tol <= 0:
+            raise ValueError("optimality_tol must be positive")
 
 
 @dataclass
@@ -149,7 +151,7 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
     n_cons = constraints(z).size
 
     lam = np.zeros(n_cons)
-    penalty = config.initial_penalty
+    penalty = INITIAL_PENALTY
     inner_total = 0
     prev_violation = np.inf
     best: SolverResult | None = None
@@ -195,7 +197,7 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
         pg_norm = _projected_grad_norm(problem, z, al_grad)
         lam_next = np.maximum(0.0, lam + penalty * c)
 
-        feasible = violation <= config.constraint_tol
+        feasible = violation <= CONSTRAINT_TOL
         converged = feasible and pg_norm <= config.optimality_tol
         candidate = SolverResult(
             z_star=z.copy(),
@@ -210,12 +212,12 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
         )
         if converged:
             return candidate
-        if best is None or _better(candidate, best, config.constraint_tol):
+        if best is None or _better(candidate, best):
             best = candidate
 
         lam = lam_next
-        if not feasible and violation > prev_violation / config.violation_shrink:
-            penalty *= config.penalty_growth
+        if not feasible and violation > prev_violation / VIOLATION_SHRINK:
+            penalty *= PENALTY_GROWTH
         prev_violation = violation
 
         # A repeated (iterate, multipliers, penalty) state is a fixed point of
@@ -229,9 +231,9 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
     return replace(best, outer_iters=outer_done, inner_iters_total=inner_total)
 
 
-def _better(a: SolverResult, b: SolverResult, constraint_tol: float) -> bool:
-    a_feas = a.max_violation <= constraint_tol
-    b_feas = b.max_violation <= constraint_tol
+def _better(a: SolverResult, b: SolverResult) -> bool:
+    a_feas = a.max_violation <= CONSTRAINT_TOL
+    b_feas = b.max_violation <= CONSTRAINT_TOL
     if a_feas != b_feas:
         return a_feas
     if a_feas:

@@ -146,7 +146,7 @@ def test_criterion_2_scenario_tree_structure():
             shortest_path(Pose(0, 0, 0), Pose(600, 100, 0.4), 10.0 / 0.07), 10.0, 1.0
         )
         for n_r in (1, 2, 3):
-            shape = TreeShape(m=3, robust_horizon=n_r, horizon=8)
+            shape = TreeShape(robust_horizon=n_r, horizon=8)
             tree = build_scenario_tree(Pose(0, 0, 0), schedule, 2, bounds, shape, 1.0)
             assert len(tree.trajectories) == 3**n_r
             tuples = [

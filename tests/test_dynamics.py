@@ -86,25 +86,25 @@ class TestRollout:
 
 class TestBranchIndex:
     def test_first_scenario_all_upper(self):
-        shape = TreeShape(m=3, robust_horizon=3, horizon=30)
+        shape = TreeShape(robust_horizon=3, horizon=30)
         assert [branch_index(1, k, shape) for k in range(3)] == [BRANCH_UPPER] * 3
 
     def test_last_scenario_all_nominal(self):
-        shape = TreeShape(m=3, robust_horizon=3, horizon=30)
+        shape = TreeShape(robust_horizon=3, horizon=30)
         assert [branch_index(27, k, shape) for k in range(3)] == [BRANCH_NOMINAL] * 3
 
     def test_beyond_robust_horizon_nominal(self):
-        shape = TreeShape(m=3, robust_horizon=3, horizon=30)
+        shape = TreeShape(robust_horizon=3, horizon=30)
         for j in range(1, 28):
             assert branch_index(j, 5, shape) == BRANCH_NOMINAL
 
     def test_covers_all_tuples_once(self):
-        shape = TreeShape(m=3, robust_horizon=3, horizon=30)
+        shape = TreeShape(robust_horizon=3, horizon=30)
         tuples = {tuple(branch_index(j, k, shape) for k in range(3)) for j in range(1, 28)}
         assert tuples == set(itertools.product((0, 1, 2), repeat=3))
 
     def test_range_checks(self):
-        shape = TreeShape(m=3, robust_horizon=2, horizon=10)
+        shape = TreeShape(robust_horizon=2, horizon=10)
         with pytest.raises(ValueError):
             branch_index(0, 0, shape)
         with pytest.raises(ValueError):
@@ -118,13 +118,13 @@ class TestScenarioTree:
         return ControlSchedule(speed=10.0, dt=1.0, angular_rates=(0.0,) * 40)
 
     def test_degenerate_all_nominal(self):
-        shape = TreeShape(m=3, robust_horizon=0, horizon=10)
+        shape = TreeShape(robust_horizon=0, horizon=10)
         tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
         assert len(tree.control_sequences) == 1
         assert all(c.angular_rate == 0.0 for c in tree.control_sequences[0])
 
     def test_branch_rates_and_straight_scenario(self):
-        shape = TreeShape(m=3, robust_horizon=3, horizon=10)
+        shape = TreeShape(robust_horizon=3, horizon=10)
         tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
         assert len(tree.control_sequences) == 27
         # Scenario 1 turns at the upper rate for 3 steps, then nominal (0).
@@ -137,7 +137,7 @@ class TestScenarioTree:
         assert tree.trajectories[0] == expected
 
     def test_covers_branch_tuples_exactly_once(self):
-        shape = TreeShape(m=3, robust_horizon=3, horizon=6)
+        shape = TreeShape(robust_horizon=3, horizon=6)
         tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
         seen = set()
         for seq in tree.control_sequences:
@@ -148,7 +148,7 @@ class TestScenarioTree:
 
     def test_prefix_property(self):
         # Controls agree at stage k iff branch tuples agree through stage k.
-        shape = TreeShape(m=3, robust_horizon=3, horizon=6)
+        shape = TreeShape(robust_horizon=3, horizon=6)
         sched = ControlSchedule(speed=10.0, dt=1.0, angular_rates=(0.01, 0.02, 0.03, 0.04, 0.05, 0.06))
         tree = build_scenario_tree(Pose(0, 0, 0), sched, 0, INTRUDER_BOUNDS, shape, 1.0)
         for a in range(1, 28):
@@ -162,26 +162,26 @@ class TestScenarioTree:
 
     def test_tree_sizes(self):
         for n_r in (0, 1, 2, 3):
-            shape = TreeShape(m=3, robust_horizon=n_r, horizon=8)
+            shape = TreeShape(robust_horizon=n_r, horizon=8)
             tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
             assert len(tree.trajectories) == 3**n_r
 
     def test_speeds_pinned_at_max(self):
-        shape = TreeShape(m=3, robust_horizon=2, horizon=8)
+        shape = TreeShape(robust_horizon=2, horizon=8)
         tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 3, INTRUDER_BOUNDS, shape, 1.0)
         for seq in tree.control_sequences:
             assert all(c.speed == INTRUDER_BOUNDS.v_max for c in seq)
 
     def test_nominal_indexes_absolute_time(self):
         sched = ControlSchedule(speed=10.0, dt=1.0, angular_rates=(0.01, 0.02, 0.03))
-        shape = TreeShape(m=3, robust_horizon=0, horizon=5)
+        shape = TreeShape(robust_horizon=0, horizon=5)
         tree = build_scenario_tree(Pose(0, 0, 0), sched, 2, INTRUDER_BOUNDS, shape, 1.0)
         rates = [c.angular_rate for c in tree.control_sequences[0]]
         # Index 2 of the schedule first, then zeros past the end.
         assert rates == [0.03, 0.0, 0.0, 0.0, 0.0]
 
     def test_length_builds_no_poses(self, monkeypatch):
-        shape = TreeShape(m=3, robust_horizon=3, horizon=30)
+        shape = TreeShape(robust_horizon=3, horizon=30)
         tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
 
         def no_pose(*args):
@@ -192,7 +192,7 @@ class TestScenarioTree:
         assert len(tree.control_sequences) == 27
 
     def test_views_index_like_tuples(self):
-        shape = TreeShape(m=3, robust_horizon=2, horizon=4)
+        shape = TreeShape(robust_horizon=2, horizon=4)
         tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
         trajectories = tuple(tree.trajectories)
         assert len(trajectories) == 9 and all(len(traj) == 5 for traj in trajectories)
@@ -203,15 +203,14 @@ class TestScenarioTree:
     @pytest.mark.parametrize(
         "rates, t, shape, dt",
         [
-            ((0.0,) * 10, 0, (3, 2, 5), 0.0),
-            ((0.0,) * 10, 0, (3, 2, 5), -1.0),
-            ((0.0,) * 10, 0, (3, 0, 0), 1.0),
-            ((0.0,) * 10, -1, (3, 2, 5), 1.0),
-            ((0.0,) * 10, 0, (2, 2, 5), 1.0),
-            ((0.0, math.nan), 0, (3, 0, 5), 1.0),
-            ((0.0, 0.0, math.inf), 0, (3, 2, 5), 1.0),
+            ((0.0,) * 10, 0, (2, 5), 0.0),
+            ((0.0,) * 10, 0, (2, 5), -1.0),
+            ((0.0,) * 10, 0, (0, 0), 1.0),
+            ((0.0,) * 10, -1, (2, 5), 1.0),
+            ((0.0, math.nan), 0, (0, 5), 1.0),
+            ((0.0, 0.0, math.inf), 0, (2, 5), 1.0),
         ],
-        ids=["dt-zero", "dt-negative", "horizon-zero", "t-negative", "m-not-3", "rate-nan", "rate-inf"],
+        ids=["dt-zero", "dt-negative", "horizon-zero", "t-negative", "rate-nan", "rate-inf"],
     )
     def test_rejects_invalid_input(self, rates, t, shape, dt):
         schedule = ControlSchedule(speed=10.0, dt=1.0, angular_rates=rates)
@@ -225,7 +224,7 @@ finite = dict(allow_nan=False, allow_infinity=False)
 @st.composite
 def tree_cases(draw):
     horizon = draw(st.integers(1, 40))
-    shape = TreeShape(m=3, robust_horizon=draw(st.integers(0, min(4, horizon))), horizon=horizon)
+    shape = TreeShape(robust_horizon=draw(st.integers(0, min(4, horizon))), horizon=horizon)
     t = draw(st.integers(0, 60))
     # Schedules both end inside the horizon window and run past it.
     rates = draw(st.lists(st.floats(-0.2, 0.2, **finite), max_size=t + horizon + 10))

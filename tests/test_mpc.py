@@ -49,25 +49,31 @@ def crossing_schedule():
     return control_schedule(path, INTRUDER_BOUNDS.v_max, 1.0)
 
 
+Q, QF, R = (1.0, 1.0, 0.0), (1.0, 1.0, 1.0), 1.0
+NAN, INF = math.nan, math.inf
+
+
 class TestWeights:
-    def test_rejects_asymmetric(self):
-        q = np.diag([1.0, 1.0, 1.0])
-        q_bad = q.copy()
-        q_bad[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            MpcWeights(q_bad, q, 1.0)
-
-    def test_rejects_indefinite_stage_weight(self):
-        with pytest.raises(ValueError):
-            MpcWeights.from_diagonals((-0.1, 1.0, 0.0), (1.0, 1.0, 1.0), 1.0)
-
-    def test_rejects_semidefinite_terminal_weight(self):
-        with pytest.raises(ValueError):
-            MpcWeights.from_diagonals((1.0, 1.0, 0.0), (1.0, 1.0, 0.0), 1.0)
-
-    def test_rejects_nonpositive_smoothing(self):
-        with pytest.raises(ValueError):
-            MpcWeights.from_diagonals((1.0, 1.0, 0.0), (1.0, 1.0, 1.0), 0.0)
+    @pytest.mark.parametrize(
+        "q, qf, r, field",
+        [
+            ((NAN, 1.0, 0.0), QF, R, "state_weight"),
+            ((1.0, INF, 0.0), QF, R, "state_weight"),
+            ((-0.1, 1.0, 0.0), QF, R, "state_weight"),
+            (np.eye(3), QF, R, "state_weight"),
+            (Q, (1.0, NAN, 1.0), R, "terminal_weight"),
+            (Q, (INF, 1.0, 1.0), R, "terminal_weight"),
+            (Q, (1.0, 1.0, 0.0), R, "terminal_weight"),
+            (Q, QF, NAN, "rate_smoothing"),
+            (Q, QF, INF, "rate_smoothing"),
+            (Q, QF, 0.0, "rate_smoothing"),
+            (Q, QF, -1.0, "rate_smoothing"),
+        ],
+        ids=["Q-nan", "Q-inf", "Q-negative", "Q-matrix", "Qf-nan", "Qf-inf", "Qf-zero", "R-nan", "R-inf", "R-zero", "R-negative"],
+    )
+    def test_rejects_invalid_entry_by_name(self, q, qf, r, field):
+        with pytest.raises(ValueError, match=field):
+            MpcWeights(q, qf, r)
 
 
 class TestBuildProblem:
@@ -121,7 +127,7 @@ class TestBuildProblem:
         z = cold_start(cfg)
         # Stage-0 error is fixed by the initial state; verify it is priced in.
         e0 = np.array([own.x - 900.0, own.y, 0.0])
-        base = float(e0 @ cfg.weights.state_weight @ e0)
+        base = float(np.dot(e0 * cfg.weights.state_weight, e0))
         assert problem.objective(z) >= base
 
 

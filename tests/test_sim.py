@@ -56,7 +56,7 @@ def quiet_spec(**overrides) -> ScenarioSpec:
         min_separation=50.0,
         horizon=8,
         robust_horizon=2,
-        weights=MpcWeights.from_diagonals((0.01, 0.01, 0.0), (1, 1, 0.1), 3.0),
+        weights=MpcWeights((0.01, 0.01, 0.0), (1, 1, 0.1), 3.0),
         mode=MpcMode.CLASSIC,
         disturbance=Disturbance(),
         max_steps=30,
@@ -80,7 +80,7 @@ def conflict_spec(**overrides) -> ScenarioSpec:
         min_separation=60.0,
         horizon=10,
         robust_horizon=2,
-        weights=MpcWeights.from_diagonals((0.01, 0.01, 0.0), (1, 1, 0.1), 3.0),
+        weights=MpcWeights((0.01, 0.01, 0.0), (1, 1, 0.1), 3.0),
         mode=MpcMode.UNCONSTRAINED,
         disturbance=Disturbance(),
         max_steps=40,
@@ -118,7 +118,7 @@ class TestClosedLoop:
         spec = conflict_spec()
         trace = run_closed_loop(spec)
         _, schedule = intruder_plan(spec)
-        shape = TreeShape(m=3, robust_horizon=0, horizon=len(trace.steps))
+        shape = TreeShape(robust_horizon=0, horizon=len(trace.steps))
         tree = build_scenario_tree(spec.intruder_start, schedule, 0, spec.intruder_bounds, shape, spec.dt)
         nominal = tree.trajectories[0]
         for s in trace.steps:

@@ -171,7 +171,7 @@ class TestSolve:
         assert err.value.bad_indices.tolist() == bad
 
     def test_missing_objective_gradient_rejected(self):
-        with pytest.raises(ValueError, match="objective_grad"):
+        with pytest.raises(TypeError, match="objective_grad"):
             NlpProblem(dimension=1, objective=lambda z: z[0] ** 2, lower=np.array([-1.0]), upper=np.array([1.0]))
 
     def test_constraints_without_weighted_gradient_rejected(self):
