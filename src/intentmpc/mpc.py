@@ -29,10 +29,11 @@ from .solver import NlpProblem, SolverConfig, SolverResult, solve
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """Elementwise reduction to (-pi, pi]."""
-    w = np.asarray(angles, dtype=float) % TWO_PI
-    return np.where(w > math.pi, w - TWO_PI, w)
+def wrap_angles(angles: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise reduction of an angle array to (-pi, pi], written to `out` if given."""
+    w = np.remainder(angles, TWO_PI, out=out)
+    np.subtract(w, TWO_PI, out=w, where=w > math.pi)
+    return w
 
 
 class MpcMode(Enum):
@@ -109,16 +110,13 @@ class MpcSolution:
 
 
 class _Rollout(NamedTuple):
-    """What the callables read at one decision vector z."""
+    """What the callables read at one decision vector z; no callable returns any of it."""
 
     errors: np.ndarray  # (N+1, 3) tracking errors in (x, y, wrapped heading)
     du: np.ndarray  # (N-1,) rate changes
-    cos_s: np.ndarray  # (N,) cos/sin of the headings at stages 0..N-1
-    sin_s: np.ndarray
-    a: np.ndarray  # (N+1,) a[k] = sum_{i<k} v_i sin(sigma_i)
-    b: np.ndarray  # (N+1,) b[k] = sum_{i<k} v_i cos(sigma_i)
-    dx: np.ndarray | None  # (M, N+1) ownship minus intruder position per scenario and stage;
-    dy: np.ndarray | None  # None in unconstrained mode
+    cs: np.ndarray  # (2, N) rows cos, sin of the headings at stages 0..N-1
+    ab: np.ndarray  # (2, N+1) rows a[k] = sum_{i<k} v_i sin(sigma_i), b[k] = sum_{i<k} v_i cos(sigma_i)
+    d: np.ndarray | None  # (2, M, N+1) ownship minus intruder (x, y) per scenario and stage; None if unconstrained
 
 
 class _SingleShooting:
@@ -130,19 +128,24 @@ class _SingleShooting:
     The record of the last distinct z (keyed by its bytes) holds everything
     the objective, its gradient, the separation constraints, their dense
     Jacobian and J^T w need, so the solver's calls at one z share one
-    rollout.
+    rollout.  Per-stage quantities that share an operation (cos|sin, a|b,
+    the x|y offsets, the pullback's five suffix sums) are rows of one block
+    that one numpy call computes, each entry by the same float operations in
+    the same order as alone.
     """
 
     def __init__(self, own_now: Pose, tree: ScenarioTree, config: MpcConfig):
         self.n = config.horizon
         self.dt = config.dt
-        self.start = own_now
-        self.target = config.target
+        self.start_xy, self.start_heading = np.array([[own_now.x], [own_now.y]]), own_now.heading
+        self.target_xy, self.target_heading = np.array([[config.target.x], [config.target.y]]), config.target.heading
         self.weights = config.weights
-        # Intruder positions per scenario and stage, fixed for this instance.
-        self.intr_x = self.intr_y = None
-        if config.mode is not MpcMode.UNCONSTRAINED:
-            self.intr_x, self.intr_y = tree.states[:, :, 0], tree.states[:, :, 1]
+        # Diagonal weight per stage (the last column terminal), and the scales
+        # of the rate gradient's terms: dt*ss1, (-dt*dt)*(x term), dt*dt*(y term).
+        self.stage_weights = np.array((config.weights.state_weight, config.weights.terminal_weight)).T.repeat((self.n, 1), axis=1)
+        self.gu_scale = np.array([[self.dt], [-self.dt * self.dt], [self.dt * self.dt]])
+        # Intruder (x, y) per scenario and stage, one (2, M, N+1) block.
+        self.intr = None if config.mode is MpcMode.UNCONSTRAINED else tree.states[..., :2].transpose(2, 0, 1).copy()
         self.rho_sq = config.min_separation**2
         self._key: bytes | None = None
         self._rec: _Rollout | None = None
@@ -151,43 +154,48 @@ class _SingleShooting:
         key = z.tobytes()
         if key == self._key:
             return self._rec  # type: ignore[return-value]
-        n, dt, start = self.n, self.dt, self.start
+        n, dt, h0 = self.n, self.dt, self.start_heading
         u, v = z[:n], z[n:]
         sigma = np.empty(n + 1)
-        sigma[0] = start.heading
-        sigma[1:] = start.heading + dt * np.cumsum(u)
-        cos_s, sin_s = np.cos(sigma[:n]), np.sin(sigma[:n])
-        a = np.concatenate(([0.0], np.cumsum(v * sin_s)))
-        b = np.concatenate(([0.0], np.cumsum(v * cos_s)))
-        x = np.concatenate(([start.x], start.x + dt * b[1:]))
-        y = np.concatenate(([start.y], start.y + dt * a[1:]))
-        errors = np.column_stack((x - self.target.x, y - self.target.y, wrap_angles(sigma - self.target.heading)))
-        dx = dy = None
-        if self.intr_x is not None:
-            dx, dy = x[None, :] - self.intr_x, y[None, :] - self.intr_y
+        sigma[0] = h0
+        heading = np.add.accumulate(u, out=sigma[1:])
+        heading *= dt
+        heading += h0
+        trig = np.empty((2, n))  # rows cos, sin
+        np.cos(sigma[:n], out=trig[0])
+        np.sin(sigma[:n], out=trig[1])
+        ba = np.zeros((2, n + 1))  # rows b, a
+        np.add.accumulate(v * trig, axis=1, out=ba[:, 1:])
+        err = np.empty((3, n + 1))  # rows x, y, heading; positions until the target is subtracted
+        pos = np.multiply(ba, dt, out=err[:2])
+        pos += self.start_xy
+        pos[:, :1] = self.start_xy  # stage 0 is the start itself, not 0*dt + start
+        d = None if self.intr is None else pos[:, None, :] - self.intr
+        pos -= self.target_xy
+        wrap_angles(np.subtract(sigma, self.target_heading, out=err[2]), out=err[2])
         self._key = key
-        self._rec = _Rollout(errors, np.diff(u), cos_s, sin_s, a, b, dx, dy)
+        self._rec = _Rollout(err.T.copy(), u[1:] - u[:-1], trig, ba[::-1], d)
         return self._rec
 
     def _pullback(self, rec: _Rollout, lam: np.ndarray) -> np.ndarray:
-        """Pull a per-stage state gradient lam (N+1, 3) back to the controls.
+        """Pull a per-stage state gradient lam[:3] back to the controls; lam is (5, N+1), rows 3:5 scratch.
 
         Uses the cumulative-sum structure: the sensitivity of x_k to u_j is
         -dt^2 * sum_{j<i<k} v_i sin(sigma_i), and similarly for y with +cos.
         """
-        dt, a, b = self.dt, rec.a, rec.b
-
-        def suffix(arr: np.ndarray) -> np.ndarray:
-            # suffix[j] = sum over stages k > j (j = 0..N-1)
-            return np.cumsum(arr[::-1])[::-1][1:]
-
-        lx, ly, ls = lam[:, 0], lam[:, 1], lam[:, 2]
-        sx1, sy1, ss1 = suffix(lx), suffix(ly), suffix(ls)
-        sxa, syb = suffix(lx * a), suffix(ly * b)
-
-        gu = -dt * dt * (sxa - a[1:] * sx1) + dt * dt * (syb - b[1:] * sy1) + dt * ss1
-        gv = dt * (rec.cos_s * sx1 + rec.sin_s * sy1)
-        return np.concatenate((gu, gv))
+        n, ab = self.n, rec.ab
+        np.multiply(lam[:2], ab, out=lam[3:])
+        # Suffix sums over stages k > j (j = 0..N-1) of lx, ly, ls, lx*a, ly*b.
+        suf = np.add.accumulate(lam[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        suf[3:] -= ab[:, 1:] * suf[:2]
+        suf[2:] *= self.gu_scale
+        g = np.empty(2 * n)
+        np.add(suf[3], suf[4], out=g[:n])
+        g[:n] += suf[2]
+        t = rec.cs * suf[:2]
+        np.add(t[0], t[1], out=g[n:])
+        g[n:] *= self.dt
+        return g
 
     def objective(self, z: np.ndarray) -> float:
         n, rec = self.n, self._record(z)
@@ -199,43 +207,43 @@ class _SingleShooting:
 
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
         n, rec = self.n, self._record(z)
-        e = rec.errors
-        q, qf, r = self.weights.state_weight, self.weights.terminal_weight, self.weights.rate_smoothing
-        lam = np.empty((n + 1, 3))
-        lam[:n] = 2.0 * e[:n] * q
-        lam[n] = 2.0 * e[n] * qf
+        lam = np.empty((5, n + 1))
+        np.multiply(rec.errors.T, 2.0, out=lam[:3])
+        lam[:3] *= self.stage_weights
         g = self._pullback(rec, lam)
-        g[: n - 1] -= 2.0 * r * rec.du
-        g[1:n] += 2.0 * r * rec.du
+        rdu = 2.0 * self.weights.rate_smoothing * rec.du
+        g[: n - 1] -= rdu
+        g[1:n] += rdu
         return g
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
-        rec = self._record(z)
-        return (self.rho_sq - rec.dx**2 - rec.dy**2).ravel()
+        sq = self._record(z).d ** 2
+        return (self.rho_sq - sq[0] - sq[1]).ravel()
 
     def constraints_weighted_grad(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """J^T w without forming J: aggregate the weights into one per-stage
         position gradient, then pull it back through the rollout."""
         rec = self._record(z)
-        w2 = w.reshape(rec.dx.shape)
-        lam = np.zeros((self.n + 1, 3))
-        lam[:, 0] = -2.0 * np.einsum("jk,jk->k", w2, rec.dx)
-        lam[:, 1] = -2.0 * np.einsum("jk,jk->k", w2, rec.dy)
+        dx, dy = rec.d
+        w2 = w.reshape(dx.shape)
+        lam = np.zeros((5, self.n + 1))
+        np.multiply(-2.0, np.einsum("jk,jk->k", w2, dx), out=lam[0])
+        np.multiply(-2.0, np.einsum("jk,jk->k", w2, dy), out=lam[1])
         return self._pullback(rec, lam)
 
     def constraints_jac(self, z: np.ndarray) -> np.ndarray:
         """Dense Jacobian, the oracle for check_gradient; the solver uses J^T w."""
         n, dt, rec = self.n, self.dt, self._record(z)
-        a, b = rec.a, rec.b
+        (a, b), (cos_s, sin_s), (dx, dy) = rec.ab, rec.cs, rec.d
         # Position Jacobians over stages 0..N, each (N+1, 2N).
         later = np.arange(n)[None, :] < np.arange(n + 1)[:, None]  # [k, j] = (j < k)
         jx = np.empty((n + 1, 2 * n))
         jy = np.empty((n + 1, 2 * n))
         jx[:, :n] = -dt * dt * (a[:, None] - a[None, 1:]) * later
-        jx[:, n:] = dt * rec.cos_s[None, :] * later
+        jx[:, n:] = dt * cos_s[None, :] * later
         jy[:, :n] = dt * dt * (b[:, None] - b[None, 1:]) * later
-        jy[:, n:] = dt * rec.sin_s[None, :] * later
-        jac = -2.0 * (rec.dx[:, :, None] * jx[None, :, :] + rec.dy[:, :, None] * jy[None, :, :])
+        jy[:, n:] = dt * sin_s[None, :] * later
+        jac = -2.0 * (dx[:, :, None] * jx[None, :, :] + dy[:, :, None] * jy[None, :, :])
         return jac.reshape(-1, 2 * n)
 
 

@@ -8,6 +8,7 @@ penalty.  Everything is deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -86,6 +87,9 @@ class SolverConfig:
     optimality_tol: float = 1e-4
 
     def __post_init__(self) -> None:
+        for name in ("outer_max_iters", "inner_max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.optimality_tol <= 0:
             raise ValueError("optimality_tol must be positive")
 
@@ -140,7 +144,10 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
     config = config or SolverConfig()
 
     def objective(zz: np.ndarray) -> float:
-        return float(_checked("objective", zz, problem.objective(zz)))
+        f = float(problem.objective(zz))
+        if not math.isfinite(f):
+            raise NumericalDomainError("objective", zz, np.array([True]))
+        return f
 
     def constraints(zz: np.ndarray) -> np.ndarray:
         if problem.constraints is None:
@@ -150,7 +157,7 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
     z = problem.project(np.asarray(z0, dtype=float))
     n_cons = constraints(z).size
 
-    lam = np.zeros(n_cons)
+    lam, lam_sq = np.zeros(n_cons), 0.0
     penalty = INITIAL_PENALTY
     inner_total = 0
     prev_violation = np.inf
@@ -162,10 +169,11 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
         g = _checked("objective gradient", zz, problem.objective_grad(zz))
         if n_cons == 0:
             return f, g
-        c = constraints(zz)
-        w = np.maximum(0.0, lam + penalty * c)
-        value = f + (np.dot(w, w) - np.dot(lam, lam)) / (2.0 * penalty)
-        if np.any(w > 0.0):
+        w = penalty * constraints(zz)
+        w += lam
+        np.maximum(0.0, w, out=w)
+        value = f + (np.dot(w, w) - lam_sq) / (2.0 * penalty)
+        if w.any():
             g = g + _checked("constraint gradient", zz, problem.constraints_weighted_grad(zz, w))
         return value, g
 
@@ -215,7 +223,7 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
         if best is None or _better(candidate, best):
             best = candidate
 
-        lam = lam_next
+        lam, lam_sq = lam_next, np.dot(lam_next, lam_next)
         if not feasible and violation > prev_violation / VIOLATION_SHRINK:
             penalty *= PENALTY_GROWTH
         prev_violation = violation
@@ -227,7 +235,6 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
             break
         seen_states.add(state)
 
-    assert best is not None
     return replace(best, outer_iters=outer_done, inner_iters_total=inner_total)
 
 

@@ -7,6 +7,7 @@ asserted alongside the behavioral checks.
 
 import itertools
 import math
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -96,7 +97,7 @@ def tree_trace(reference_spec):
 def _mc(reference_spec, level_deg: float):
     spec = replace(reference_spec, disturbance=Disturbance("uniform", -level_deg * DEG, level_deg * DEG))
     start = time.perf_counter()
-    report = run_monte_carlo(spec, runs=20)
+    report = run_monte_carlo(spec, runs=20, max_workers=min(2, os.cpu_count() or 1))
     _timings[f"mc_{level_deg}"] = time.perf_counter() - start
     return report
 

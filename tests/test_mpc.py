@@ -1,6 +1,7 @@
 """Tests for the receding-horizon transcription and its modes."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from intentmpc import (
     build_problem,
     check_gradient,
     control_schedule,
+    rollout,
     shortest_path,
     solve_step,
 )
-from intentmpc.mpc import DEFAULT_WEIGHTS, cold_start, shift_warm_start
+from intentmpc.mpc import DEFAULT_WEIGHTS, cold_start, shift_warm_start, wrap_angles
 from intentmpc.solver import SolverConfig
 
 OWN_BOUNDS = ControlBounds(v_min=6.0, v_max=9.0, u_min=-0.1, u_max=0.1)
@@ -177,6 +179,82 @@ class TestSharedRecord:
                 continue
             fresh, _ = build_problem(*args)
             assert np.array_equal(evaluate(problem, tree, name, pool[i]), evaluate(fresh, tree, name, pool[i].copy()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(list(MpcMode)), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_returned_arrays_are_fresh(self, mode, horizon, seed):
+        # The solver (and scipy, which keeps the gradient by reference) may
+        # hold or scribble on what a callable returns: neither may reach the
+        # record or another call's result.
+        args = (Pose(100, 20, 0.1), Pose(300, -60, 2.3), 5, crossing_schedule(), config(mode, horizon, min(2, horizon)))
+        problem, tree = build_problem(*args)
+        names = [n for n in CALLABLES[1:] if getattr(problem, n) is not None]
+        rng = np.random.default_rng(seed)
+        z0, z1 = rng.uniform(problem.lower, problem.upper), rng.uniform(problem.lower, problem.upper)
+        for z in (z0, z0, z1, z0):
+            kept = []
+            for name in names:
+                fresh, _ = build_problem(*args)
+                got = evaluate(problem, tree, name, z)
+                assert np.array_equal(got, evaluate(fresh, tree, name, z.copy()))
+                kept.append((got, got.copy()))
+            for got, snapshot in kept:
+                assert np.array_equal(got, snapshot)
+                got.fill(np.nan)
+
+
+@st.composite
+def encounters(draw):
+    """A config (mode, horizon, dt, weights, target), ownship and intruder poses, a step and a seed for z."""
+    coord = st.floats(-1500.0, 1500.0)
+    angle = st.floats(-math.pi, math.pi)
+    pose = st.builds(Pose, coord, coord, angle)
+    mode = draw(st.sampled_from(list(MpcMode)))
+    horizon = draw(st.integers(1, 12))
+    diag = st.tuples(*[st.floats(0.01, 10.0)] * 3)
+    weights = MpcWeights(draw(diag), draw(diag), draw(st.floats(0.01, 100.0)))
+    cfg = replace(
+        config(mode, horizon, draw(st.integers(0, min(3, horizon)))),
+        dt=draw(st.floats(0.1, 2.0)),
+        weights=weights,
+        target=draw(pose),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    return cfg, draw(pose), draw(pose), draw(st.integers(0, 40)), seed
+
+
+class TestPoseByPoseOracle:
+    """The cumulative-sum transcription against a direct evaluation: the
+    ownship rolled out pose by pose with `rollout`, tracking errors taken per
+    pose and separation rows per scenario and stage."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(encounters())
+    def test_objective_and_constraints_match(self, case):
+        cfg, own, intruder, t, seed = case
+        problem, tree = build_problem(own, intruder, t, crossing_schedule(), cfg)
+        n = cfg.horizon
+        z = np.random.default_rng(seed).uniform(problem.lower, problem.upper)
+        poses = rollout(own, [ControlInput(speed=z[n + k], angular_rate=z[k]) for k in range(n)], cfg.dt)
+
+        target = cfg.target
+        errors = np.array([(p.x - target.x, p.y - target.y, p.heading - target.heading) for p in poses])
+        errors[:, 2] = wrap_angles(errors[:, 2])
+        weights = cfg.weights
+        expected = sum(float(np.sum(weights.state_weight * e**2)) for e in errors[:n])
+        expected += float(np.sum(weights.terminal_weight * errors[n] ** 2))
+        expected += weights.rate_smoothing * sum((z[k + 1] - z[k]) ** 2 for k in range(n - 1))
+        assert problem.objective(z) == pytest.approx(expected, rel=1e-9)
+
+        if problem.constraints is None:
+            return
+        rho_sq = cfg.min_separation**2
+        dist_sq = np.array(
+            [[(p.x - q.x) ** 2 + (p.y - q.y) ** 2 for p, q in zip(poses, scenario)] for scenario in tree.trajectories]
+        ).ravel()
+        # Rows are differences of two squares; the tolerance is relative to the larger one.
+        error = np.abs(problem.constraints(z) - (rho_sq - dist_sq))
+        assert np.all(error <= 1e-9 * (rho_sq + dist_sq)), error.max()
 
 
 class TestSolveStep:

@@ -191,6 +191,12 @@ class TestSolve:
         assert res.status == "max_iters"
         assert np.isfinite(res.objective_value)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["outer_max_iters", "inner_max_iters"])
+    def test_iteration_budgets_must_be_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
 
 class TestCheckGradient:
     def test_quadratic_near_exact(self):
