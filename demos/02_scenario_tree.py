@@ -16,7 +16,6 @@ from intentmpc import (
     branch_index,
     build_scenario_tree,
     control_schedule,
-    separation,
     shortest_path,
 )
 
@@ -41,8 +40,8 @@ def main() -> None:
 
     print("\npredicted position fan (max pairwise distance between scenarios):")
     for k in (1, 3, 10, 20, 30):
-        poses = [traj[k] for traj in tree.trajectories]
-        spread = max(separation(a, b) for a in poses for b in poses)
+        xy = tree.trajectories[:, k, :2].tolist()
+        spread = max(math.hypot(ax - bx, ay - by) for ax, ay in xy for bx, by in xy)
         print(f"  stage {k:2d}: {spread:7.1f} m")
 
     nominal = [j for j in range(1, shape.scenario_count + 1)

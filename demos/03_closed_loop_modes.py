@@ -27,7 +27,7 @@ def main() -> None:
 
     for mode in (MpcMode.UNCONSTRAINED, MpcMode.NO_INTENT, MpcMode.CLASSIC, MpcMode.SCENARIO_TREE):
         start = time.perf_counter()
-        trace = run_closed_loop(replace(base, mode=mode))
+        trace = run_closed_loop(replace(base, mpc=replace(base.mpc, mode=mode)))
         elapsed = time.perf_counter() - start
         m = metrics(trace)
         flag = "" if m.min_separation >= rho - 1e-3 else "  <- violates"

@@ -22,7 +22,7 @@ def main() -> None:
     runs = int(sys.argv[1]) if len(sys.argv) > 1 else 8
     spec = load_scenario(SCENARIO)
     lo, hi = spec.disturbance.lo, spec.disturbance.hi
-    print(f"{runs} runs, intruder rate noise uniform [{lo:+.4f}, {hi:+.4f}] rad/s, floor {spec.min_separation:g} m")
+    print(f"{runs} runs, intruder rate noise uniform [{lo:+.4f}, {hi:+.4f}] rad/s, floor {spec.mpc.min_separation:g} m")
 
     start = time.perf_counter()
     report = run_monte_carlo(spec, runs=runs)

@@ -3,7 +3,10 @@
 Exit codes: 0 success, 2 invalid scenario or arguments (stderr names the
 offending JSON path), 3 solver numerical failure (partial outputs are still
 written).  INTENT_MPC_THREADS caps Monte-Carlo parallelism (0 = one worker
-per CPU; unset = serial).
+per CPU; unset = serial).  With two or more workers, also set
+OPENBLAS_NUM_THREADS=1: otherwise the BLAS threads of every worker spin
+between calls, outnumber the cores, and the pool runs slower than one
+process.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def _monte_carlo_workers() -> int:
 def _load_spec(args):
     spec = load_scenario(args.scenario)
     if args.mode is not None:
-        spec = replace(spec, mode=MODES[args.mode])
+        spec = replace(spec, mpc=replace(spec.mpc, mode=MODES[args.mode]))
     if args.seed is not None:
         spec = replace(spec, rng_seed=args.seed)
     return spec

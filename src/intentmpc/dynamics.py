@@ -9,13 +9,12 @@ horizon) and following the nominal schedule afterwards.
 `step`/`rollout` integrate one pose at a time; `build_scenario_tree`
 integrates every scenario at once as cumulative sums over arrays.  Both
 perform the same floating-point operations in the same order, so a tree's
-states equal the sequential rollout of its control sequences bit for bit.
+trajectories equal the sequential rollout of its rates bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,52 +82,28 @@ class TreeShape:
         return BRANCH_COUNT**self.robust_horizon
 
 
-class _RowView(Sequence):
-    """Read-only sequence whose rows are built on access; len() is O(1)."""
-
-    def __init__(self, count: int, row: Callable[[int], tuple]):
-        self._count = count
-        self._row = row
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, j: int) -> tuple:
-        return self._row(range(self._count)[j])
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioTree:
-    """All intruder control sequences and their predicted trajectories.
+    """All intruder control sequences and their predicted trajectories, as arrays.
 
-    Array layout, M = shape.scenario_count and N = shape.horizon:
+    With M = shape.scenario_count and N = shape.horizon:
 
     * `rates` (M, N): angular rate of scenario j-1 at stage k;
-    * `states` (M, N+1, 3): (x, y, heading) of scenario j-1 at stage k, with
-      stage 0 the intruder's current pose;
+    * `trajectories` (M, N+1, 3): (x, y, heading) of scenario j-1 at stage
+      k, with stage 0 the intruder's current pose;
     * `speed`: the intruder's speed, the same in every scenario and stage.
 
-    Row j-1 of `states` equals `rollout` of `control_sequences[j-1]` bit for
-    bit.  Scenarios sharing a branch prefix share the control prefix, so
-    non-anticipativity holds by construction.  `control_sequences` and
-    `trajectories` are dataclass views built row by row on access.
+    The first axis of both arrays is the scenario, so `len(tree.rates)` and
+    `len(tree.trajectories)` count scenarios.  Row j-1 of `trajectories`
+    equals `rollout` of `ControlInput(speed, u)` over `rates[j-1]` bit for
+    bit.  Scenarios sharing a branch prefix share the rate prefix, so
+    non-anticipativity holds by construction.
     """
 
     shape: TreeShape
     rates: np.ndarray
-    states: np.ndarray
+    trajectories: np.ndarray
     speed: float
-
-    @property
-    def control_sequences(self) -> Sequence[tuple[ControlInput, ...]]:
-        return _RowView(
-            len(self.rates),
-            lambda j: tuple(ControlInput(self.speed, u) for u in self.rates[j].tolist()),
-        )
-
-    @property
-    def trajectories(self) -> Sequence[tuple[Pose, ...]]:
-        return _RowView(len(self.states), lambda j: tuple(Pose(*s) for s in self.states[j].tolist()))
 
 
 def step(state: Pose, inp: ControlInput, dt: float) -> Pose:
@@ -216,12 +191,12 @@ def build_scenario_tree(
     reach = dt * bounds.v_max  # step's operation order: (dt * v) * cos(heading)
     x = _accumulate(intruder_now.x, reach * np.cos(heading[:, :n]))
     y = _accumulate(intruder_now.y, reach * np.sin(heading[:, :n]))
-    states = np.stack((x, y, heading), axis=-1)
-    if not np.isfinite(states).all():
+    trajectories = np.stack((x, y, heading), axis=-1)
+    if not np.isfinite(trajectories).all():
         raise ValueError("scenario tree states must be finite")
     rates.flags.writeable = False
-    states.flags.writeable = False
-    return ScenarioTree(shape=shape, rates=rates, states=states, speed=bounds.v_max)
+    trajectories.flags.writeable = False
+    return ScenarioTree(shape=shape, rates=rates, trajectories=trajectories, speed=bounds.v_max)
 
 
 def separation(a: Pose, b: Pose) -> float:

@@ -94,6 +94,8 @@ class MpcConfig:
     solver: SolverConfig = SolverConfig()
 
     def __post_init__(self) -> None:
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be at least 1, got {self.horizon}")
         if not 0 <= self.robust_horizon <= self.horizon:
             raise ValueError(f"need 0 <= robust_horizon <= horizon, got {self.robust_horizon}, {self.horizon}")
         if self.mode is not MpcMode.UNCONSTRAINED and not self.min_separation > 0.0:
@@ -145,7 +147,7 @@ class _SingleShooting:
         self.stage_weights = np.array((config.weights.state_weight, config.weights.terminal_weight)).T.repeat((self.n, 1), axis=1)
         self.gu_scale = np.array([[self.dt], [-self.dt * self.dt], [self.dt * self.dt]])
         # Intruder (x, y) per scenario and stage, one (2, M, N+1) block.
-        self.intr = None if config.mode is MpcMode.UNCONSTRAINED else tree.states[..., :2].transpose(2, 0, 1).copy()
+        self.intr = None if config.mode is MpcMode.UNCONSTRAINED else tree.trajectories[..., :2].transpose(2, 0, 1).copy()
         self.rho_sq = config.min_separation**2
         self._key: bytes | None = None
         self._rec: _Rollout | None = None

@@ -162,15 +162,15 @@ def plot_trajectories(trace: SimTrace) -> str:
     the separation floor circle at the closest-approach step."""
     own = _own_points(trace)
     intr = _intruder_points(trace)
-    spec = trace.spec
+    spec, target = trace.spec, trace.spec.mpc.target
     m = metrics(trace)
     worst = trace.steps[[s.t for s in trace.steps].index(m.min_separation_time)]
 
-    x_lo, x_hi, y_lo, y_hi = _bounds_of([own, intr, [(spec.own_target.x, spec.own_target.y)]])
+    x_lo, x_hi, y_lo, y_hi = _bounds_of([own, intr, [(target.x, target.y)]])
     frame = Frame(x_lo, x_hi, y_lo, y_hi, equal_aspect=True)
     body = _axes(frame, "x [m]", "y [m]")
-    body.append(_circle(frame, spec.own_target.x, spec.own_target.y, spec.target_radius, GREEN, fill=True))
-    body.append(_circle(frame, worst.intruder.x, worst.intruder.y, spec.min_separation, RED, fill=False, dashed=True))
+    body.append(_circle(frame, target.x, target.y, spec.target_radius, GREEN, fill=True))
+    body.append(_circle(frame, worst.intruder.x, worst.intruder.y, spec.mpc.min_separation, RED, fill=False, dashed=True))
     body.append(_polyline(frame, intr, RED, 2.0))
     body.append(_polyline(frame, own, BLUE, 2.0))
     body.append(_marker(frame, own[0][0], own[0][1], BLUE))
@@ -184,7 +184,7 @@ def plot_trajectories(trace: SimTrace) -> str:
 def plot_separation(trace: SimTrace) -> str:
     """Separation over time with the floor as a dashed line."""
     seps = [(s.t, s.separation) for s in trace.steps]
-    rho = trace.spec.min_separation
+    rho = trace.spec.mpc.min_separation
     hi = max(max(s for _, s in seps), rho) * 1.05
     frame = Frame(0.0, float(seps[-1][0]), 0.0, hi)
     body = _axes(frame, "time [s]", "separation [m]")
@@ -196,11 +196,10 @@ def plot_separation(trace: SimTrace) -> str:
 
 def plot_controls(trace: SimTrace) -> str:
     """Applied speed and angular rate with their box bounds."""
-    spec = trace.spec
     ts = [s.t for s in trace.steps]
     vs = [(s.t, s.applied.speed) for s in trace.steps]
     us = [(s.t, s.applied.angular_rate) for s in trace.steps]
-    ob = spec.own_bounds
+    ob = trace.spec.mpc.own_bounds
 
     pad_v = 0.1 * (ob.v_max - ob.v_min + 1.0)
     frame_v = Frame(0.0, float(ts[-1]), ob.v_min - pad_v, ob.v_max + pad_v)
@@ -229,9 +228,9 @@ def plot_monte_carlo_trajectories(report: MonteCarloReport) -> str:
     all_pts.append(_intruder_points(report.nominal))
     x_lo, x_hi, y_lo, y_hi = _bounds_of(all_pts)
     frame = Frame(x_lo, x_hi, y_lo, y_hi, equal_aspect=True)
-    spec = report.spec
+    target = report.spec.mpc.target
     body = _axes(frame, "x [m]", "y [m]")
-    body.append(_circle(frame, spec.own_target.x, spec.own_target.y, spec.target_radius, GREEN, fill=True))
+    body.append(_circle(frame, target.x, target.y, report.spec.target_radius, GREEN, fill=True))
     for t in traces:
         body.append(_polyline(frame, _intruder_points(t), RED, 0.8, opacity=0.5))
         body.append(_polyline(frame, _own_points(t), BLUE, 0.8, opacity=0.5))
@@ -245,7 +244,7 @@ def plot_monte_carlo_trajectories(report: MonteCarloReport) -> str:
 def plot_monte_carlo_separation(report: MonteCarloReport) -> str:
     """Separation curves of every run with the floor dashed; nominal black."""
     traces = [o.trace for o in report.runs if o.trace is not None and o.trace.steps]
-    rho = report.spec.min_separation
+    rho = report.spec.mpc.min_separation
     hi = rho
     for t in traces + [report.nominal]:
         hi = max(hi, max(s.separation for s in t.steps))

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dubins import ControlSchedule, DubinsPath, Pose, control_schedule, shortest_path
-from .dynamics import ControlBounds, ControlInput, separation, step
-from .mpc import MpcConfig, MpcMode, MpcSolution, MpcWeights, solve_step
-from .solver import NumericalDomainError, SolverConfig, STATUS_INFEASIBLE
+from .dynamics import ControlInput, separation, step
+from .mpc import MpcConfig, MpcSolution, solve_step
+from .solver import NumericalDomainError, STATUS_INFEASIBLE
 
 TERMINAL_ARRIVED = "arrived"
 TERMINAL_MAX_STEPS = "max_steps"
@@ -27,12 +27,6 @@ TERMINAL_VIOLATION = "violation_flagged"
 
 DISTURBANCE_NONE = "none"
 DISTURBANCE_UNIFORM = "uniform"
-
-# Receding-horizon solves need feasibility, not tight stationarity: the
-# optimality tolerance is loosened to match the cost scale (~1e5 m^2) and the
-# outer budget trimmed, since the next re-solve corrects any slack.
-CLOSED_LOOP_SOLVER = SolverConfig(outer_max_iters=12, inner_max_iters=200, optimality_tol=5e-4)
-
 
 @dataclass(frozen=True)
 class Disturbance:
@@ -51,47 +45,28 @@ class Disturbance:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Everything needed to reproduce one encounter."""
+    """Everything needed to reproduce one encounter.
+
+    The controller's settings, the ownship's target, both aircraft's limits
+    and the step dt among them, are `mpc`; the rest only the simulation reads.
+    """
 
     own_start: Pose
-    own_target: Pose
     target_radius: float
     intruder_start: Pose
     intruder_target: Pose
-    own_bounds: ControlBounds
-    intruder_bounds: ControlBounds
-    min_separation: float
-    horizon: int
-    robust_horizon: int
-    weights: MpcWeights
-    mode: MpcMode
+    mpc: MpcConfig
     disturbance: Disturbance
     max_steps: int
     rng_seed: int
-    dt: float = 1.0
-    solver: SolverConfig = CLOSED_LOOP_SOLVER
 
     def __post_init__(self) -> None:
         if not self.target_radius > 0.0:
             raise ValueError("target_radius must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not self.intruder_bounds.u_max > 0.0:
+        if not self.mpc.intruder_bounds.u_max > 0.0:
             raise ValueError("intruder needs a positive maximum turn rate")
-
-    def mpc_config(self) -> MpcConfig:
-        return MpcConfig(
-            horizon=self.horizon,
-            robust_horizon=self.robust_horizon,
-            dt=self.dt,
-            min_separation=self.min_separation,
-            weights=self.weights,
-            own_bounds=self.own_bounds,
-            intruder_bounds=self.intruder_bounds,
-            mode=self.mode,
-            target=self.own_target,
-            solver=self.solver,
-        )
 
 
 @dataclass(frozen=True)
@@ -133,15 +108,15 @@ class SimulationAborted(RuntimeError):
 
 def intruder_plan(spec: ScenarioSpec) -> tuple[DubinsPath, ControlSchedule]:
     """Dubins path and per-step schedule from the intruder's start to its waypoint."""
-    radius = spec.intruder_bounds.v_max / spec.intruder_bounds.u_max
-    path = shortest_path(spec.intruder_start, spec.intruder_target, radius)
-    return path, control_schedule(path, spec.intruder_bounds.v_max, spec.dt)
+    bounds = spec.mpc.intruder_bounds
+    path = shortest_path(spec.intruder_start, spec.intruder_target, bounds.v_max / bounds.u_max)
+    return path, control_schedule(path, bounds.v_max, spec.mpc.dt)
 
 
 def run_closed_loop(spec: ScenarioSpec) -> SimTrace:
     """Simulate one encounter until arrival or the step budget runs out."""
     intent_path, schedule = intruder_plan(spec)
-    config = spec.mpc_config()
+    config = spec.mpc
     rng = np.random.default_rng(spec.rng_seed) if spec.disturbance.kind == DISTURBANCE_UNIFORM else None
 
     own = spec.own_start
@@ -163,13 +138,13 @@ def run_closed_loop(spec: ScenarioSpec) -> SimTrace:
         nominal_rate = schedule.rate_at(t)
         if rng is not None:
             noise = rng.uniform(spec.disturbance.lo, spec.disturbance.hi)
-            intruder_input = spec.intruder_bounds.clamp(
-                ControlInput(speed=spec.intruder_bounds.v_max, angular_rate=nominal_rate + noise)
+            intruder_input = config.intruder_bounds.clamp(
+                ControlInput(speed=config.intruder_bounds.v_max, angular_rate=nominal_rate + noise)
             )
         else:
             # Kept unclamped so the realized nominal trajectory matches the
             # scenario tree's nominal branch bit for bit.
-            intruder_input = ControlInput(speed=spec.intruder_bounds.v_max, angular_rate=nominal_rate)
+            intruder_input = ControlInput(speed=config.intruder_bounds.v_max, angular_rate=nominal_rate)
 
         steps.append(
             SimStep(
@@ -187,8 +162,8 @@ def run_closed_loop(spec: ScenarioSpec) -> SimTrace:
             )
         )
 
-        own = step(own, sol.first_input, spec.dt)
-        intruder = step(intruder, intruder_input, spec.dt)
+        own = step(own, sol.first_input, config.dt)
+        intruder = step(intruder, intruder_input, config.dt)
         warm = sol
         t += 1
         arrived = _within_target(own, spec)
@@ -197,7 +172,7 @@ def run_closed_loop(spec: ScenarioSpec) -> SimTrace:
 
 
 def _within_target(own: Pose, spec: ScenarioSpec) -> bool:
-    return math.hypot(own.x - spec.own_target.x, own.y - spec.own_target.y) <= spec.target_radius
+    return math.hypot(own.x - spec.mpc.target.x, own.y - spec.mpc.target.y) <= spec.target_radius
 
 
 def _finish_trace(
@@ -210,7 +185,7 @@ def _finish_trace(
     schedule: ControlSchedule,
 ) -> SimTrace:
     status = TERMINAL_ARRIVED if arrived else TERMINAL_MAX_STEPS
-    if any(s.separation < spec.min_separation for s in steps) or any(s.flagged for s in steps):
+    if any(s.separation < spec.mpc.min_separation for s in steps) or any(s.flagged for s in steps):
         status = TERMINAL_VIOLATION
     return SimTrace(
         spec=spec,
@@ -243,9 +218,9 @@ def metrics(trace: SimTrace) -> SimMetrics:
     return SimMetrics(
         min_separation=seps[idx],
         min_separation_time=trace.steps[idx].t,
-        path_length=sum(trace.spec.dt * s.applied.speed for s in trace.steps),
+        path_length=sum(trace.spec.mpc.dt * s.applied.speed for s in trace.steps),
         arrival_time=len(trace.steps) if trace.arrived else None,
-        violation_stages=sum(1 for s in seps if s < trace.spec.min_separation),
+        violation_stages=sum(1 for s in seps if s < trace.spec.mpc.min_separation),
         max_solver_iterations=max(s.inner_iters for s in trace.steps),
     )
 

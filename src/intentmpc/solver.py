@@ -201,8 +201,8 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
         c = constraints(z)
         violation = float(np.max(np.maximum(c, 0.0))) if n_cons else 0.0
         violation_history.append(violation)
-        _, al_grad = al_value_and_grad(z)
-        pg_norm = _projected_grad_norm(problem, z, al_grad)
+        # L-BFGS-B returns the AL gradient at its final point, res.x == z.
+        pg_norm = _projected_grad_norm(problem, z, res.jac)
         lam_next = np.maximum(0.0, lam + penalty * c)
 
         feasible = violation <= CONSTRAINT_TOL

@@ -77,21 +77,23 @@ def intent_spec() -> ScenarioSpec:
     return load_scenario(SCENARIOS / "intent_comparison.json")
 
 
+def _undisturbed(spec: ScenarioSpec, mode: MpcMode) -> ScenarioSpec:
+    return replace(spec, mpc=replace(spec.mpc, mode=mode), disturbance=Disturbance())
+
+
 @pytest.fixture(scope="module")
 def unconstrained_trace(reference_spec):
-    return _timed_run(
-        "unconstrained", replace(reference_spec, mode=MpcMode.UNCONSTRAINED, disturbance=Disturbance())
-    )
+    return _timed_run("unconstrained", _undisturbed(reference_spec, MpcMode.UNCONSTRAINED))
 
 
 @pytest.fixture(scope="module")
 def classic_trace(reference_spec):
-    return _timed_run("classic", replace(reference_spec, mode=MpcMode.CLASSIC, disturbance=Disturbance()))
+    return _timed_run("classic", _undisturbed(reference_spec, MpcMode.CLASSIC))
 
 
 @pytest.fixture(scope="module")
 def tree_trace(reference_spec):
-    return _timed_run("tree", replace(reference_spec, mode=MpcMode.SCENARIO_TREE, disturbance=Disturbance()))
+    return _timed_run("tree", _undisturbed(reference_spec, MpcMode.SCENARIO_TREE))
 
 
 def _mc(reference_spec, level_deg: float):
@@ -159,9 +161,7 @@ def test_criterion_2_scenario_tree_structure():
                 agree = True
                 for k in range(shape.horizon):
                     agree = agree and branch_index(a + 1, k, shape) == branch_index(b + 1, k, shape)
-                    shared = (
-                        tree.control_sequences[a][: k + 1] == tree.control_sequences[b][: k + 1]
-                    )
+                    shared = np.array_equal(tree.rates[a, : k + 1], tree.rates[b, : k + 1])
                     assert shared == agree
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -184,7 +184,7 @@ def test_criterion_3_solver_sanity(reference_spec):
             reference_spec.intruder_start,
             0,
             schedule,
-            reference_spec.mpc_config(),
+            reference_spec.mpc,
         )
         rng = np.random.default_rng(99)
         for _ in range(10):
@@ -197,14 +197,14 @@ def test_criterion_3_solver_sanity(reference_spec):
 def test_criterion_4_nominal_violation(unconstrained_trace):
     with criterion(4, "unconstrained flight through the reference crossing violates the floor"):
         m = metrics(unconstrained_trace)
-        rho = unconstrained_trace.spec.min_separation
+        rho = unconstrained_trace.spec.mpc.min_separation
         assert m.min_separation < rho, f"min separation {m.min_separation:.2f} vs rho {rho}"
         assert _timings["unconstrained"] < 30.0
 
 
 def test_criterion_5_both_controllers_safe(classic_trace, tree_trace):
     with criterion(5, "classic and scenario-tree controllers stay safe and reach the target"):
-        rho = classic_trace.spec.min_separation
+        rho = classic_trace.spec.mpc.min_separation
         for name, trace in (("classic", classic_trace), ("scenario-tree", tree_trace)):
             m = metrics(trace)
             assert m.min_separation >= rho - 1e-3, f"{name} min separation {m.min_separation:.4f}"
@@ -229,10 +229,10 @@ def test_criterion_6_conservatism_ordering(classic_trace, tree_trace):
 
 def test_criterion_7_intent_value(intent_spec):
     with criterion(7, "knowing the intruder's intent shortens the ownship path by at least 1%"):
-        rho = intent_spec.min_separation
+        rho = intent_spec.mpc.min_separation
         lengths = {}
         for mode in (MpcMode.SCENARIO_TREE, MpcMode.CLASSIC, MpcMode.NO_INTENT):
-            trace = run_closed_loop(replace(intent_spec, mode=mode))
+            trace = run_closed_loop(replace(intent_spec, mpc=replace(intent_spec.mpc, mode=mode)))
             m = metrics(trace)
             assert trace.arrived, f"{mode.value} did not arrive"
             assert m.min_separation >= rho - 1e-3, f"{mode.value} unsafe"
@@ -244,7 +244,7 @@ def test_criterion_7_intent_value(intent_spec):
 
 def test_criterion_8_monte_carlo_robustness(mc_half_deg):
     with criterion(8, "all 20 disturbed runs respect the separation floor"):
-        rho = mc_half_deg.spec.min_separation
+        rho = mc_half_deg.spec.mpc.min_separation
         assert all(o.ok for o in mc_half_deg.runs)
         per_run = [metrics(o.trace).min_separation for o in mc_half_deg.runs]
         assert len(per_run) == 20
@@ -268,7 +268,7 @@ def test_criterion_9_disturbance_propagation(mc_twentieth_deg, mc_quarter_deg, m
 
 def test_criterion_10_control_saturation(tree_trace):
     with criterion(10, "applied angular rates sit at a bound or zero at least 80% of the time"):
-        bounds = tree_trace.spec.own_bounds
+        bounds = tree_trace.spec.mpc.own_bounds
         rates = [s.applied.angular_rate for s in tree_trace.steps]
         anchors = (bounds.u_min, 0.0, bounds.u_max)
         near = [r for r in rates if min(abs(r - a) for a in anchors) <= 0.005]
@@ -298,10 +298,10 @@ def test_criterion_11_determinism_and_replay(reference_spec):
         pose = reference_spec.own_start
         for s in a.steps:
             assert (pose.x, pose.y, pose.heading) == (s.own.x, s.own.y, s.own.heading)
-            pose = step(pose, s.applied, reference_spec.dt)
+            pose = step(pose, s.applied, reference_spec.mpc.dt)
         assert (pose.x, pose.y, pose.heading) == (a.own_final.x, a.own_final.y, a.own_final.heading)
 
         intr = reference_spec.intruder_start
         for s in a.steps:
             assert (intr.x, intr.y, intr.heading) == (s.intruder.x, s.intruder.y, s.intruder.heading)
-            intr = step(intr, s.intruder_applied, reference_spec.dt)
+            intr = step(intr, s.intruder_applied, reference_spec.mpc.dt)

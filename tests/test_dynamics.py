@@ -120,28 +120,28 @@ class TestScenarioTree:
     def test_degenerate_all_nominal(self):
         shape = TreeShape(robust_horizon=0, horizon=10)
         tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
-        assert len(tree.control_sequences) == 1
-        assert all(c.angular_rate == 0.0 for c in tree.control_sequences[0])
+        assert tree.rates.shape == (1, 10)
+        assert (tree.rates[0] == 0.0).all()
 
     def test_branch_rates_and_straight_scenario(self):
         shape = TreeShape(robust_horizon=3, horizon=10)
         tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
-        assert len(tree.control_sequences) == 27
+        assert len(tree.rates) == 27
         # Scenario 1 turns at the upper rate for 3 steps, then nominal (0).
-        rates = [c.angular_rate for c in tree.control_sequences[0]]
+        rates = tree.rates[0].tolist()
         assert rates[:3] == [0.07] * 3 and all(r == 0.0 for r in rates[3:])
         # Scenario 27 is all-nominal: straight throughout.
-        assert all(c.angular_rate == 0.0 for c in tree.control_sequences[26])
+        assert (tree.rates[26] == 0.0).all()
         # Hand rollout of scenario 1 agrees with the stored trajectory.
-        expected = rollout(Pose(0, 0, 0), list(tree.control_sequences[0]), 1.0)
-        assert tree.trajectories[0] == expected
+        expected = rollout(Pose(0, 0, 0), [ControlInput(tree.speed, u) for u in rates], 1.0)
+        assert np.array_equal(tree.trajectories[0], [(p.x, p.y, p.heading) for p in expected])
 
     def test_covers_branch_tuples_exactly_once(self):
         shape = TreeShape(robust_horizon=3, horizon=6)
         tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
         seen = set()
-        for seq in tree.control_sequences:
-            key = tuple(c.angular_rate for c in seq[:3])
+        for row in tree.rates.tolist():
+            key = tuple(row[:3])
             assert key not in seen
             seen.add(key)
         assert len(seen) == 27
@@ -157,7 +157,7 @@ class TestScenarioTree:
                 for k in range(shape.horizon):
                     ba, bb = branch_index(a, k, shape), branch_index(b, k, shape)
                     agree = agree and ba == bb
-                    same_controls = tree.control_sequences[a - 1][: k + 1] == tree.control_sequences[b - 1][: k + 1]
+                    same_controls = np.array_equal(tree.rates[a - 1, : k + 1], tree.rates[b - 1, : k + 1])
                     assert same_controls == agree
 
     def test_tree_sizes(self):
@@ -169,14 +169,13 @@ class TestScenarioTree:
     def test_speeds_pinned_at_max(self):
         shape = TreeShape(robust_horizon=2, horizon=8)
         tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 3, INTRUDER_BOUNDS, shape, 1.0)
-        for seq in tree.control_sequences:
-            assert all(c.speed == INTRUDER_BOUNDS.v_max for c in seq)
+        assert tree.speed == INTRUDER_BOUNDS.v_max
 
     def test_nominal_indexes_absolute_time(self):
         sched = ControlSchedule(speed=10.0, dt=1.0, angular_rates=(0.01, 0.02, 0.03))
         shape = TreeShape(robust_horizon=0, horizon=5)
         tree = build_scenario_tree(Pose(0, 0, 0), sched, 2, INTRUDER_BOUNDS, shape, 1.0)
-        rates = [c.angular_rate for c in tree.control_sequences[0]]
+        rates = tree.rates[0].tolist()
         # Index 2 of the schedule first, then zeros past the end.
         assert rates == [0.03, 0.0, 0.0, 0.0, 0.0]
 
@@ -189,16 +188,7 @@ class TestScenarioTree:
 
         monkeypatch.setattr("intentmpc.dynamics.Pose", no_pose)
         assert len(tree.trajectories) == 27
-        assert len(tree.control_sequences) == 27
-
-    def test_views_index_like_tuples(self):
-        shape = TreeShape(robust_horizon=2, horizon=4)
-        tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
-        trajectories = tuple(tree.trajectories)
-        assert len(trajectories) == 9 and all(len(traj) == 5 for traj in trajectories)
-        assert tree.trajectories[-1] == trajectories[8]
-        with pytest.raises(IndexError):
-            tree.trajectories[9]
+        assert len(tree.rates) == 27
 
     @pytest.mark.parametrize(
         "rates, t, shape, dt",
@@ -245,10 +235,10 @@ class TestTreeMatchesSequentialReference:
     def test_states_equal_rollout_bitwise(self, case):
         start, schedule, t, bounds, shape, dt = case
         tree = build_scenario_tree(start, schedule, t, bounds, shape, dt)
-        assert tree.states.shape == (shape.scenario_count, shape.horizon + 1, 3)
-        for j, controls in enumerate(tree.control_sequences):
-            poses = rollout(start, controls, dt)
-            assert np.array_equal(tree.states[j], [(p.x, p.y, p.heading) for p in poses])
+        assert tree.trajectories.shape == (shape.scenario_count, shape.horizon + 1, 3)
+        for j, rates in enumerate(tree.rates.tolist()):
+            poses = rollout(start, [ControlInput(tree.speed, u) for u in rates], dt)
+            assert np.array_equal(tree.trajectories[j], [(p.x, p.y, p.heading) for p in poses])
 
     @settings(max_examples=80, deadline=None)
     @given(tree_cases())

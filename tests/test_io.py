@@ -3,11 +3,12 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from intentmpc import Disturbance, MpcMode, Pose, run_closed_loop, run_monte_carlo
+from intentmpc import Disturbance, MpcConfig, MpcMode, Pose, ScenarioSpec, run_closed_loop, run_monte_carlo
 from intentmpc.cli import main
 from intentmpc.plots import (
     plot_controls,
@@ -17,6 +18,7 @@ from intentmpc.plots import (
     plot_trajectories,
 )
 from intentmpc.scenario_io import (
+    CLOSED_LOOP_SOLVER,
     CSV_HEADER,
     ScenarioError,
     dump_json,
@@ -90,13 +92,32 @@ def quick_mc_report():
 class TestScenarioParsing:
     def test_shipped_scenarios_load(self):
         ref = load_scenario(SCENARIOS / "reference_crossing.json")
-        assert ref.horizon == 30 and ref.robust_horizon == 3
-        assert ref.mode is MpcMode.SCENARIO_TREE
-        assert ref.min_separation == 150.0
+        assert ref.mpc.horizon == 30 and ref.mpc.robust_horizon == 3
+        assert ref.mpc.mode is MpcMode.SCENARIO_TREE
+        assert ref.mpc.min_separation == 150.0
         assert ref.disturbance.kind == "uniform"
         assert ref.disturbance.hi == pytest.approx(0.5 * math.pi / 180.0)
         intent = load_scenario(SCENARIOS / "intent_comparison.json")
         assert intent.disturbance.kind == "none"
+
+        # Every setting lives in one field: the controller's in spec.mpc only.
+        assert not {f.name for f in fields(ScenarioSpec)} & {f.name for f in fields(MpcConfig)}
+        for name in ("reference_crossing.json", "intent_comparison.json"):
+            doc = json.loads((SCENARIOS / name).read_text())
+            cfg = load_scenario(SCENARIOS / name).mpc
+            assert cfg.horizon == doc["mpc"]["N"]
+            assert cfg.robust_horizon == doc["mpc"]["N_r"]
+            assert cfg.min_separation == doc["mpc"]["rho"]
+            assert cfg.mode.value == doc["mpc"]["mode"]
+            assert cfg.target == Pose(*doc["ownship"]["target"])
+            assert cfg.weights.state_weight.tolist() == doc["mpc"]["Q"]
+            assert cfg.weights.terminal_weight.tolist() == doc["mpc"]["Qf"]
+            assert cfg.weights.rate_smoothing == doc["mpc"]["R"]
+            for bounds, aircraft in ((cfg.own_bounds, "ownship"), (cfg.intruder_bounds, "intruder")):
+                limits = doc[aircraft]["bounds"]
+                assert [bounds.v_min, bounds.v_max, bounds.u_min, bounds.u_max] == limits["v"] + limits["u"]
+            assert cfg.dt == 1.0
+            assert cfg.solver == CLOSED_LOOP_SOLVER
 
     def test_unknown_key_rejected_with_path(self):
         doc = quick_doc()
@@ -155,7 +176,7 @@ class TestCsvAndSummaries:
 
     def test_roundtrip_metrics_match_summary(self, quick_trace):
         doc = summary_doc(quick_trace)
-        got = metrics_from_csv(trace_to_csv(quick_trace), rho=quick_trace.spec.min_separation)
+        got = metrics_from_csv(trace_to_csv(quick_trace), rho=quick_trace.spec.mpc.min_separation)
         # Floats carry 9 significant digits in the CSV, so equality holds to
         # that precision.
         assert got.min_separation == pytest.approx(doc["metrics"]["min_separation"], rel=1e-7)

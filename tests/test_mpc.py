@@ -78,6 +78,14 @@ class TestWeights:
             MpcWeights(q, qf, r)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_must_be_positive(self, horizon):
+        # Rejected on construction, not at the first solve_step's tree build.
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            config(horizon=horizon, robust_horizon=0)
+
+
 class TestBuildProblem:
     def test_scenario_tree_dimensions(self):
         problem, tree = build_problem(Pose(0, 0, 0), Pose(800, -350, 2.0), 0, crossing_schedule(), config())
@@ -102,11 +110,11 @@ class TestBuildProblem:
         intruder = Pose(500.0, 100.0, 2.5)
         _, tree = build_problem(Pose(0, 0, 0), intruder, 4, crossing_schedule(), cfg)
         assert len(tree.trajectories) == 1
-        traj = tree.trajectories[0]
-        assert all(p.heading == intruder.heading for p in traj)
-        for k, p in enumerate(traj):
-            assert p.x == pytest.approx(intruder.x + 10.0 * k * math.cos(intruder.heading), abs=1e-9)
-            assert p.y == pytest.approx(intruder.y + 10.0 * k * math.sin(intruder.heading), abs=1e-9)
+        traj = tree.trajectories[0].tolist()
+        assert all(heading == intruder.heading for _, _, heading in traj)
+        for k, (x, y, _) in enumerate(traj):
+            assert x == pytest.approx(intruder.x + 10.0 * k * math.cos(intruder.heading), abs=1e-9)
+            assert y == pytest.approx(intruder.y + 10.0 * k * math.sin(intruder.heading), abs=1e-9)
 
     def test_box_bounds_are_ownship_bounds(self):
         problem, _ = build_problem(Pose(0, 0, 0), Pose(800, 0, 2.0), 0, crossing_schedule(), config())
@@ -139,7 +147,7 @@ CALLABLES = ("objective", "objective_grad", "constraints", "constraints_weighted
 def evaluate(problem, tree, name, z):
     if name == "constraints_weighted_grad":
         # Sized from the tree, not by calling constraints at z first.
-        w = np.random.default_rng(1).uniform(0.0, 2.0, tree.states.shape[0] * tree.states.shape[1])
+        w = np.random.default_rng(1).uniform(0.0, 2.0, tree.trajectories.shape[0] * tree.trajectories.shape[1])
         w[::2] = 0.0
         return problem.constraints_weighted_grad(z, w)
     return getattr(problem, name)(z)
@@ -250,7 +258,7 @@ class TestPoseByPoseOracle:
             return
         rho_sq = cfg.min_separation**2
         dist_sq = np.array(
-            [[(p.x - q.x) ** 2 + (p.y - q.y) ** 2 for p, q in zip(poses, scenario)] for scenario in tree.trajectories]
+            [[(p.x - x) ** 2 + (p.y - y) ** 2 for p, (x, y, _) in zip(poses, scenario)] for scenario in tree.trajectories.tolist()]
         ).ravel()
         # Rows are differences of two squares; the tolerance is relative to the larger one.
         error = np.abs(problem.constraints(z) - (rho_sq - dist_sq))

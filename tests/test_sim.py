@@ -1,7 +1,7 @@
 """Tests for the closed-loop simulation and Monte-Carlo batches."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from intentmpc import (
     ControlBounds,
     ControlInput,
     Disturbance,
+    MpcConfig,
     MpcMode,
     MpcWeights,
     Pose,
@@ -29,6 +30,7 @@ from intentmpc.solver import NumericalDomainError, SolverConfig
 OWN_BOUNDS = ControlBounds(v_min=6.0, v_max=9.0, u_min=-0.1, u_max=0.1)
 INTRUDER_BOUNDS = ControlBounds(v_min=10.0, v_max=10.0, u_min=-0.07, u_max=0.07)
 FAST_SOLVER = SolverConfig(outer_max_iters=8, inner_max_iters=120, optimality_tol=1e-3)
+MPC_FIELDS = {f.name for f in fields(MpcConfig)}
 
 
 def fail_at_step(monkeypatch, t_fail: int) -> None:
@@ -43,11 +45,18 @@ def fail_at_step(monkeypatch, t_fail: int) -> None:
     monkeypatch.setattr(sim_module, "solve_step", failing)
 
 
+def _spec(base: dict, overrides: dict) -> ScenarioSpec:
+    """ScenarioSpec from flat settings; those of MpcConfig go into `mpc`."""
+    base.update(overrides)
+    mpc = MpcConfig(**{name: base.pop(name) for name in MPC_FIELDS & base.keys()})
+    return ScenarioSpec(mpc=mpc, **base)
+
+
 def quiet_spec(**overrides) -> ScenarioSpec:
     """Short run with the intruder far away (no conflict)."""
     base = dict(
         own_start=Pose(0, 0, 0),
-        own_target=Pose(120, 0, 0),
+        target=Pose(120, 0, 0),
         target_radius=20.0,
         intruder_start=Pose(5000, 5000, 0.0),
         intruder_target=Pose(6000, 5000, 0.0),
@@ -56,6 +65,7 @@ def quiet_spec(**overrides) -> ScenarioSpec:
         min_separation=50.0,
         horizon=8,
         robust_horizon=2,
+        dt=1.0,
         weights=MpcWeights((0.01, 0.01, 0.0), (1, 1, 0.1), 3.0),
         mode=MpcMode.CLASSIC,
         disturbance=Disturbance(),
@@ -63,15 +73,14 @@ def quiet_spec(**overrides) -> ScenarioSpec:
         rng_seed=11,
         solver=FAST_SOLVER,
     )
-    base.update(overrides)
-    return ScenarioSpec(**base)
+    return _spec(base, overrides)
 
 
 def conflict_spec(**overrides) -> ScenarioSpec:
     """Head-on mini encounter that violates separation when unconstrained."""
     base = dict(
         own_start=Pose(0, 0, 0),
-        own_target=Pose(220, 0, 0),
+        target=Pose(220, 0, 0),
         target_radius=25.0,
         intruder_start=Pose(120, 0, math.pi),
         intruder_target=Pose(-600, 0, math.pi),
@@ -80,6 +89,7 @@ def conflict_spec(**overrides) -> ScenarioSpec:
         min_separation=60.0,
         horizon=10,
         robust_horizon=2,
+        dt=1.0,
         weights=MpcWeights((0.01, 0.01, 0.0), (1, 1, 0.1), 3.0),
         mode=MpcMode.UNCONSTRAINED,
         disturbance=Disturbance(),
@@ -87,8 +97,7 @@ def conflict_spec(**overrides) -> ScenarioSpec:
         rng_seed=5,
         solver=FAST_SOLVER,
     )
-    base.update(overrides)
-    return ScenarioSpec(**base)
+    return _spec(base, overrides)
 
 
 class TestClosedLoop:
@@ -107,7 +116,7 @@ class TestClosedLoop:
         pose = trace.spec.own_start
         for s in trace.steps:
             assert (pose.x, pose.y, pose.heading) == (s.own.x, s.own.y, s.own.heading)
-            pose = step(pose, s.applied, trace.spec.dt)
+            pose = step(pose, s.applied, trace.spec.mpc.dt)
         assert (pose.x, pose.y, pose.heading) == (
             trace.own_final.x,
             trace.own_final.y,
@@ -119,11 +128,10 @@ class TestClosedLoop:
         trace = run_closed_loop(spec)
         _, schedule = intruder_plan(spec)
         shape = TreeShape(robust_horizon=0, horizon=len(trace.steps))
-        tree = build_scenario_tree(spec.intruder_start, schedule, 0, spec.intruder_bounds, shape, spec.dt)
-        nominal = tree.trajectories[0]
+        tree = build_scenario_tree(spec.intruder_start, schedule, 0, spec.mpc.intruder_bounds, shape, spec.mpc.dt)
+        nominal = tree.trajectories[0].tolist()
         for s in trace.steps:
-            ref = nominal[s.t]
-            assert (s.intruder.x, s.intruder.y, s.intruder.heading) == (ref.x, ref.y, ref.heading)
+            assert [s.intruder.x, s.intruder.y, s.intruder.heading] == nominal[s.t]
 
     def test_unconstrained_conflict_violates(self):
         trace = run_closed_loop(conflict_spec())
@@ -170,17 +178,18 @@ class TestClosedLoop:
         trace = run_closed_loop(spec)
         m = metrics(trace)
 
-        own_radius = spec.own_bounds.v_max / spec.own_bounds.u_max
-        own_path = shortest_path(spec.own_start, spec.own_target, own_radius)
-        own_sched = control_schedule(own_path, spec.own_bounds.v_max, spec.dt)
+        cfg = spec.mpc
+        own_radius = cfg.own_bounds.v_max / cfg.own_bounds.u_max
+        own_path = shortest_path(spec.own_start, cfg.target, own_radius)
+        own_sched = control_schedule(own_path, cfg.own_bounds.v_max, cfg.dt)
         own_nominal = [spec.own_start]
         for rate in own_sched.angular_rates:
-            own_nominal.append(step(own_nominal[-1], ControlInput(spec.own_bounds.v_max, rate), spec.dt))
+            own_nominal.append(step(own_nominal[-1], ControlInput(cfg.own_bounds.v_max, rate), cfg.dt))
         _, intr_sched = intruder_plan(spec)
         intr_nominal = [spec.intruder_start]
         for k in range(len(own_nominal) - 1):
             intr_nominal.append(
-                step(intr_nominal[-1], ControlInput(spec.intruder_bounds.v_max, intr_sched.rate_at(k)), spec.dt)
+                step(intr_nominal[-1], ControlInput(cfg.intruder_bounds.v_max, intr_sched.rate_at(k)), cfg.dt)
             )
         oracle = min(separation(a, b) for a, b in zip(own_nominal, intr_nominal))
         assert m.min_separation == oracle
@@ -247,7 +256,7 @@ class TestMetrics:
         )
         m = metrics(trace)
         assert m.violation_stages == 0
-        assert m.min_separation >= trace.spec.min_separation
+        assert m.min_separation >= trace.spec.mpc.min_separation
 
     def test_empty_trace_rejected(self):
         trace = run_closed_loop(quiet_spec(own_start=Pose(110, 0, 0)))

@@ -1,8 +1,9 @@
 """The benchmark's span tracer (perfbench/tracing.py) still fits the program.
 
 The tracer re-wraps the callables of every NlpProblem that build_problem
-returns, by field name, so a reshaped NlpProblem or build_problem would
-otherwise show only in a traced benchmark run.
+returns, by field name, and counts a tree's scenarios as
+`len(tree.trajectories)`, so a reshaped NlpProblem, build_problem or
+ScenarioTree would otherwise show only in a traced benchmark run.
 """
 
 import math
@@ -15,7 +16,8 @@ from test_mpc import config, crossing_schedule
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_traced_solve_step_records_problem_spans(monkeypatch):
+def traced_solve_step(monkeypatch, cfg):
+    """One solve_step of a head-on encounter under the tracer; returns the tracer."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -23,9 +25,14 @@ def test_traced_solve_step_records_problem_spans(monkeypatch):
     try:
         # Head-on intruder close enough that the cold start violates
         # separation rows, so the solver also takes J^T w.
-        solve_step(Pose(0, 0, 0), Pose(300, 0, math.pi), 0, crossing_schedule(), config(MpcMode.CLASSIC, horizon=10))
+        solve_step(Pose(0, 0, 0), Pose(300, 0, math.pi), 0, crossing_schedule(), cfg)
     finally:
         tracer.uninstall()
+    return tracer
+
+
+def test_traced_solve_step_records_problem_spans(monkeypatch):
+    tracer = traced_solve_step(monkeypatch, config(MpcMode.CLASSIC, horizon=10))
     names = {span[0] for span in tracer.spans}
     assert {
         "mpc.build_problem",
@@ -35,3 +42,11 @@ def test_traced_solve_step_records_problem_spans(monkeypatch):
         "mpc.jtw",
         "solver.solve",
     } <= names
+    assert tracer.counters["dynamics.scenarios"] == 1
+
+
+def test_traced_scenario_count_is_the_tree_width(monkeypatch):
+    # The counter reads the first axis of tree.trajectories; it must be the scenario axis.
+    tracer = traced_solve_step(monkeypatch, config(MpcMode.SCENARIO_TREE, horizon=10, robust_horizon=2))
+    assert tracer.counters["dynamics.scenarios"] == 9
+    assert tracer.counters["mpc.constraint_rows"] == 9 * 11
