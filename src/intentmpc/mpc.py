@@ -97,7 +97,7 @@ class MpcConfig:
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {self.horizon}")
         if not 0 <= self.robust_horizon <= self.horizon:
-            raise ValueError(f"need 0 <= robust_horizon <= horizon, got {self.robust_horizon}, {self.horizon}")
+            raise ValueError(f"robust_horizon must lie in [0, horizon = {self.horizon}], got {self.robust_horizon}")
         if self.mode is not MpcMode.UNCONSTRAINED and not self.min_separation > 0.0:
             raise ValueError("min_separation must be positive in constrained modes")
         if not self.dt > 0.0:

@@ -33,6 +33,8 @@ DEG = math.pi / 180.0
 CSV_HEADER = "t,own_x,own_y,own_heading,intr_x,intr_y,intr_heading,v,u,separation,solver_status,solve_ms"
 
 MODES = {m.value: m for m in MpcMode}
+# MpcConfig fields read from one scenario key, for naming it in errors.
+_MPC_KEYS = {"horizon": "mpc.N", "robust_horizon": "mpc.N_r", "min_separation": "mpc.rho"}
 
 # Every scenario runs at dt = 1 s.  Receding-horizon solves need
 # feasibility, not tight stationarity: the optimality tolerance is loosened
@@ -122,32 +124,28 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
     _require_keys(mpc, "mpc", ("N", "N_r", "Q", "Qf", "R", "rho", "mode"))
     n = _integer(mpc["N"], "mpc.N")
     n_r = _integer(mpc["N_r"], "mpc.N_r")
-    if n < 1:
-        raise ScenarioError("mpc.N", "horizon must be >= 1")
-    if not 0 <= n_r <= n:
-        raise ScenarioError("mpc.N_r", f"robust horizon must lie in [0, {n}]")
     rho = _number(mpc["rho"], "mpc.rho")
+    q, qf, r = _triple(mpc["Q"], "mpc.Q"), _triple(mpc["Qf"], "mpc.Qf"), _number(mpc["R"], "mpc.R")
     mode_name = mpc["mode"]
     if not isinstance(mode_name, str) or mode_name not in MODES:
         raise ScenarioError("mpc.mode", f"expected one of {sorted(MODES)}, got {mode_name!r}")
-    mode = MODES[mode_name]
-    if rho <= 0 and mode is not MpcMode.UNCONSTRAINED:
-        raise ScenarioError("mpc.rho", "minimum separation must be positive")
     try:
         config = MpcConfig(
             horizon=n,
             robust_horizon=n_r,
             dt=1.0,
             min_separation=rho,
-            weights=MpcWeights(_triple(mpc["Q"], "mpc.Q"), _triple(mpc["Qf"], "mpc.Qf"), _number(mpc["R"], "mpc.R")),
+            weights=MpcWeights(q, qf, r),
             own_bounds=own_bounds,
             intruder_bounds=intr_bounds,
-            mode=mode,
+            mode=MODES[mode_name],
             target=own_target,
             solver=CLOSED_LOOP_SOLVER,
         )
     except ValueError as err:
-        raise ScenarioError("mpc", str(err)) from err
+        # MpcConfig's messages start with the offending field's name.
+        field = str(err).split(" ", 1)[0]
+        raise ScenarioError(_MPC_KEYS.get(field, "mpc"), str(err)) from err
 
     dist = doc["disturbance"]
     _require_keys(dist, "disturbance", ("kind",), ("lo_deg_s", "hi_deg_s"))

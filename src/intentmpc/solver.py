@@ -130,8 +130,11 @@ def _checked(what: str, z: np.ndarray, value) -> np.ndarray:
 
 
 def _projected_grad_norm(problem: NlpProblem, z: np.ndarray, grad: np.ndarray) -> float:
-    moved = problem.project(z - grad)
-    return float(np.max(np.abs(z - moved))) if z.size else 0.0
+    """Infinity norm of the projected gradient, bit-exact with L-BFGS-B's `projgr`."""
+    if not z.size:
+        return 0.0
+    pg = np.where(grad < 0.0, np.maximum(z - problem.upper, grad), np.minimum(z - problem.lower, grad))
+    return float(np.max(np.abs(pg)))
 
 
 def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = None) -> SolverResult:
@@ -139,9 +142,15 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
 
     Returns the best iterate found: the least-objective feasible point when
     one exists, otherwise the least-violation point with status
-    `infeasible_stationary`.
+    `infeasible_stationary`.  Each outer iteration first evaluates the
+    augmented Lagrangian at its start and applies L-BFGS-B's own start test:
+    a start whose projected gradient is within gtol is kept as the inner
+    solution without calling L-BFGS-B, which would return it unchanged.
     """
     config = config or SolverConfig()
+    bounds = Bounds(problem.lower, problem.upper)
+    gtol = 0.3 * config.optimality_tol
+    options = {"maxiter": config.inner_max_iters, "maxcor": 10, "ftol": 1e-15, "gtol": gtol}
 
     def objective(zz: np.ndarray) -> float:
         f = float(problem.objective(zz))
@@ -177,32 +186,36 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
             g = g + _checked("constraint gradient", zz, problem.constraints_weighted_grad(zz, w))
         return value, g
 
+    # The current outer iteration's start (as bytes) and its AL value and
+    # gradient; the memo lives for one outer iteration, as lam and the
+    # penalty change.
+    start_key, start = b"", None
+
+    def al_from_start(zz: np.ndarray) -> tuple[float, np.ndarray]:
+        """al_value_and_grad, serving L-BFGS-B's first call, at the start, from the memo once."""
+        nonlocal start
+        if start is not None and zz.tobytes() == start_key:
+            served, start = start, None
+            return served
+        return al_value_and_grad(zz)
+
     outer_done = 0
     seen_states: set[bytes] = set()
     for outer in range(config.outer_max_iters):
-        res = minimize(
-            al_value_and_grad,
-            z,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=Bounds(problem.lower, problem.upper),
-            options={
-                "maxiter": config.inner_max_iters,
-                "maxcor": 10,
-                "ftol": 1e-15,
-                "gtol": 0.3 * config.optimality_tol,
-            },
-        )
-        z = problem.project(np.asarray(res.x, dtype=float))
-        inner_total += int(res.nit)
+        start_key, start = z.tobytes(), al_value_and_grad(z)
+        pg_norm = _projected_grad_norm(problem, z, start[1])
+        if pg_norm > gtol:
+            res = minimize(al_from_start, z, jac=True, method="L-BFGS-B", bounds=bounds, options=options)
+            z = problem.project(np.asarray(res.x, dtype=float))
+            inner_total += int(res.nit)
+            # L-BFGS-B returns the AL gradient at its final point, res.x == z.
+            pg_norm = _projected_grad_norm(problem, z, res.jac)
         outer_done = outer + 1
 
         f = objective(z)
         c = constraints(z)
         violation = float(np.max(np.maximum(c, 0.0))) if n_cons else 0.0
         violation_history.append(violation)
-        # L-BFGS-B returns the AL gradient at its final point, res.x == z.
-        pg_norm = _projected_grad_norm(problem, z, res.jac)
         lam_next = np.maximum(0.0, lam + penalty * c)
 
         feasible = violation <= CONSTRAINT_TOL

@@ -131,6 +131,12 @@ class TestScenarioParsing:
             parse_scenario(quick_doc(**{"mpc.rho": -5.0}))
         assert "mpc.rho" in str(err.value)
 
+    @pytest.mark.parametrize("key, value", [("mpc.N", 0), ("mpc.N_r", 31), ("mpc.Q", [1.0, 2.0])])
+    def test_bad_mpc_value_names_path(self, key, value):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(quick_doc(**{key: value}))
+        assert err.value.path == key
+
     def test_bad_mode_rejected(self):
         for bad in ("fancy", []):
             with pytest.raises(ScenarioError) as err:

@@ -5,9 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import Bounds, minimize
 
 from intentmpc import NlpProblem, NumericalDomainError, SolverConfig, check_gradient, solve
-from intentmpc.solver import STATUS_CONVERGED
+from intentmpc import solver
+from intentmpc.solver import STATUS_CONVERGED, _projected_grad_norm
 
 
 def clipped_quadratic() -> NlpProblem:
@@ -54,6 +58,20 @@ def rosenbrock() -> NlpProblem:
     )
 
 
+def infeasible_bound() -> NlpProblem:
+    # x >= 2 is impossible inside the box [-1, 1].
+    return NlpProblem(
+        dimension=1,
+        objective=lambda z: z[0] ** 2,
+        objective_grad=lambda z: np.array([2.0 * z[0]]),
+        constraints=lambda z: np.array([2.0 - z[0]]),
+        constraints_jac=lambda z: np.array([[-1.0]]),
+        constraints_weighted_grad=lambda z, w: -w,
+        lower=np.array([-1.0]),
+        upper=np.array([1.0]),
+    )
+
+
 class TestSolve:
     def test_clipped_quadratic(self):
         res = solve(clipped_quadratic(), np.array([0.0]))
@@ -94,18 +112,7 @@ class TestSolve:
         assert np.all(np.abs(res.multipliers * c) <= 10 * 1e-4)
 
     def test_infeasible_problem_reports_least_violation(self):
-        # x >= 2 is impossible inside the box [-1, 1].
-        problem = NlpProblem(
-            dimension=1,
-            objective=lambda z: z[0] ** 2,
-            objective_grad=lambda z: np.array([2.0 * z[0]]),
-            constraints=lambda z: np.array([2.0 - z[0]]),
-            constraints_jac=lambda z: np.array([[-1.0]]),
-            constraints_weighted_grad=lambda z, w: -w,
-            lower=np.array([-1.0]),
-            upper=np.array([1.0]),
-        )
-        res = solve(problem, np.array([0.0]), SolverConfig(outer_max_iters=8))
+        res = solve(infeasible_bound(), np.array([0.0]), SolverConfig(outer_max_iters=8))
         assert res.status == "infeasible_stationary"
         assert res.z_star[0] == pytest.approx(1.0, abs=1e-6)
         assert res.max_violation == pytest.approx(1.0, abs=1e-6)
@@ -196,6 +203,122 @@ class TestSolve:
     def test_iteration_budgets_must_be_positive(self, name, value):
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: value})
+
+
+def recorded_minimize(monkeypatch) -> list:
+    """Route the solver's L-BFGS-B calls through scipy, recording (kwargs, result) of each."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        calls.append((kwargs, res))
+        return res
+
+    monkeypatch.setattr(solver, "minimize", recording)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def lbfgsb_options() -> dict:
+    """The options `solve` passes to L-BFGS-B under the default SolverConfig."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = recorded_minimize(mp)
+        solve(clipped_quadratic(), np.array([0.0]))
+    return calls[0][0]["options"]
+
+
+GTOL = 0.3 * SolverConfig().optimality_tol
+PGTOL_MESSAGE = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+
+
+def finite_choice(values):
+    return st.sampled_from([float(v) for v in values if math.isfinite(v)])
+
+
+@st.composite
+def box_starts(draw):
+    """(lower, upper, z, g): a box, a start on, next to or inside its bounds, and
+    the gradient there, drawn around the start test's edges (|g| = gtol, g = z - l)."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        centre = draw(st.floats(-100.0, 100.0))
+        widths = st.sampled_from([0.0, GTOL, 1.0, math.inf]) | st.floats(0.0, 50.0)
+        below, above = draw(widths), draw(widths)
+        lo, hi = centre - below, centre + above
+        near = (lo, hi, np.nextafter(lo, math.inf), np.nextafter(hi, -math.inf), lo + GTOL, hi - GTOL, centre)
+        z = min(max(draw(finite_choice(near)), lo), hi)
+        edge = draw(finite_choice((GTOL, np.nextafter(GTOL, 0.0), np.nextafter(GTOL, 1.0), z - lo, z - hi, 0.0)))
+        g = draw(st.sampled_from([edge, -edge]) | st.floats(-1e-3, 1e-3) | st.floats(-10.0, 10.0))
+        rows.append((lo, hi, z, g))
+    lower, upper, z, g = (np.array(col) for col in zip(*rows))
+    # `solve` holds only projected starts, np.clip over the bound arrays, as scipy
+    # also clips x0; that clip turns a -0.0 on a [-0.0, 0.0] box into 0.0.
+    return lower, upper, np.clip(z, lower, upper), g
+
+
+class TestStartTest:
+    """`solve` keeps a start whose projected gradient passes L-BFGS-B's own start test."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_starts(), st.floats(0.1, 10.0))
+    # |pg| equal to gtol, and one ulp above it, on an interior coordinate.
+    @example((np.array([0.0]), np.array([1.0]), np.array([0.5]), np.array([GTOL])), 1.0)
+    @example((np.array([0.0]), np.array([1.0]), np.array([0.5]), np.array([-np.nextafter(GTOL, 1.0)])), 1.0)
+    # The distance to the lower bound, not g, sets |pg|.
+    @example((np.array([0.0]), np.array([1.0]), np.array([GTOL]), np.array([5.0])), 1.0)
+    def test_matches_lbfgsb_at_its_start(self, lbfgsb_options, case, curvature):
+        lower, upper, z, g = case
+        assume(np.any(lower < upper))  # scipy does not run L-BFGS-B on a fully fixed box
+        # A quadratic whose gradient at z is exactly g.
+        problem = NlpProblem(
+            dimension=z.size,
+            objective=lambda x: 0.5 * curvature * float(np.dot(x - z, x - z)) + float(np.dot(g, x - z)),
+            objective_grad=lambda x: curvature * (x - z) + g,
+            lower=lower,
+            upper=upper,
+        )
+        res = minimize(
+            lambda x: (problem.objective(x), problem.objective_grad(x)),
+            z,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=Bounds(lower, upper),
+            options=lbfgsb_options,
+        )
+        stopped_at_start = res.nit == 0 and res.message == PGTOL_MESSAGE
+        if _projected_grad_norm(problem, z, g) <= lbfgsb_options["gtol"]:
+            assert stopped_at_start
+            assert res.x.tobytes() == z.tobytes()
+        else:
+            assert not stopped_at_start
+
+    def test_stationary_start_is_returned_without_lbfgsb(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("L-BFGS-B called at a stationary start")
+
+        monkeypatch.setattr(solver, "minimize", refuse)
+        z0 = np.array([1.0])  # the minimizer, on the upper bound
+        res = solve(clipped_quadratic(), z0)
+        assert res.z_star.tobytes() == z0.tobytes()
+        assert (res.inner_iters_total, res.outer_iters, res.status) == (0, 1, STATUS_CONVERGED)
+
+    def test_start_is_evaluated_once(self, monkeypatch):
+        grad_calls = 0
+        base = infeasible_bound()
+
+        def counted_grad(z):
+            nonlocal grad_calls
+            grad_calls += 1
+            return base.objective_grad(z)
+
+        calls = recorded_minimize(monkeypatch)
+        res = solve(replace(base, objective_grad=counted_grad), np.array([0.0]), SolverConfig(outer_max_iters=8))
+        # The first outer iteration runs L-BFGS-B; later ones start on the
+        # upper bound with the multiplier pushing into it, and skip it.
+        skips = res.outer_iters - len(calls)
+        assert calls and skips
+        # One evaluation per outer start; L-BFGS-B's first, at the start, is that one.
+        assert grad_calls == skips + sum(inner.nfev for _, inner in calls)
 
 
 class TestCheckGradient:

@@ -16,16 +16,19 @@ from test_mpc import config, crossing_schedule
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def traced_solve_step(monkeypatch, cfg):
-    """One solve_step of a head-on encounter under the tracer; returns the tracer."""
+# Head-on intruder close enough that the cold start violates separation
+# rows, so the solver also takes J^T w.
+HEAD_ON = Pose(300, 0, math.pi)
+
+
+def traced_solve_step(monkeypatch, cfg, intruder=HEAD_ON):
+    """One solve_step from the origin, heading east, under the tracer; returns the tracer."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
     tracer = tracing.install()
     try:
-        # Head-on intruder close enough that the cold start violates
-        # separation rows, so the solver also takes J^T w.
-        solve_step(Pose(0, 0, 0), Pose(300, 0, math.pi), 0, crossing_schedule(), cfg)
+        solve_step(Pose(0, 0, 0), intruder, 0, crossing_schedule(), cfg)
     finally:
         tracer.uninstall()
     return tracer
@@ -50,3 +53,14 @@ def test_traced_scenario_count_is_the_tree_width(monkeypatch):
     tracer = traced_solve_step(monkeypatch, config(MpcMode.SCENARIO_TREE, horizon=10, robust_horizon=2))
     assert tracer.counters["dynamics.scenarios"] == 9
     assert tracer.counters["mpc.constraint_rows"] == 9 * 11
+
+
+def test_traced_solve_without_an_inner_solve(monkeypatch):
+    # The target (900, 0) lies straight ahead beyond the horizon's reach and
+    # the intruder is far away, so the cold start (straight on at v_max) is
+    # stationary: the solver evaluates it once and skips L-BFGS-B.
+    tracer = traced_solve_step(monkeypatch, config(MpcMode.CLASSIC, horizon=10), intruder=Pose(-5000, 5000, math.pi))
+    names = {span[0] for span in tracer.spans}
+    assert {"mpc.objective", "mpc.objective_grad", "mpc.constraints", "solver.solve"} <= names
+    assert tracer.counters["solver.inner_iters"] == 0
+    assert tracer.counters["solver.status.converged"] == 1
