@@ -3,7 +3,8 @@
 Inequality constraints c(z) <= 0 are folded into a Powell-Hestenes-Rockafellar
 augmented Lagrangian; each outer iteration minimizes it over the box with
 L-BFGS-B, then updates multipliers and, when the violation stalls, the
-penalty.  Everything is deterministic for fixed inputs.
+penalty.  The solver drives L-BFGS-B's reverse-communication loop itself.
+Everything is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
+# scipy 1.15 ported L-BFGS-B to C and gave `setulb` its present
+# (..., maxls, ln_task) signature, hence the floor scipy>=1.15.
+from scipy.optimize._lbfgsb import setulb
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"
@@ -26,6 +29,14 @@ CONSTRAINT_TOL = 1e-4
 INITIAL_PENALTY = 10.0
 PENALTY_GROWTH = 10.0
 VIOLATION_SHRINK = 4.0
+
+# L-BFGS-B stops at a projected-gradient norm of INNER_GTOL_FRACTION *
+# optimality_tol or a relative f reduction of LBFGSB_FTOL; the rest are scipy's defaults.
+INNER_GTOL_FRACTION = 0.3
+LBFGSB_CORRECTIONS = 10
+LBFGSB_FTOL = 1e-15
+LBFGSB_MAX_LINE_SEARCH = 20
+LBFGSB_MAX_EVALS = 15000
 
 
 class NumericalDomainError(RuntimeError):
@@ -137,20 +148,56 @@ def _projected_grad_norm(problem: NlpProblem, z: np.ndarray, grad: np.ndarray) -
     return float(np.max(np.abs(pg)))
 
 
+def _lbfgsb(fg: Callable[[np.ndarray], tuple[float, np.ndarray]], z: np.ndarray, f0: float, g0: np.ndarray,
+            lower: np.ndarray, upper: np.ndarray, max_iters: int, gtol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """L-BFGS-B over the box from z, where fg(z) = (f0, g0); returns (x, gradient at x, iterations).
+
+    scipy 1.17's `_minimize_lbfgsb` loop around the reverse-communication `setulb`
+    (Zhu, Byrd, Lu & Nocedal 1997, ACM TOMS 23, Alg. 778), without the wrapper.  As
+    in scipy, fg runs only at an x other than the last point's, and setulb gets a
+    copy of g: after a failed line search it writes the previous gradient back into g.
+    """
+    n, m = z.size, LBFGSB_CORRECTIONS
+    has_lo, has_hi = ~np.isinf(lower), ~np.isinf(upper)
+    nbd = np.where(has_lo, np.where(has_hi, 2, 1), np.where(has_hi, 3, 0)).astype(np.int32)
+    low, up = np.where(has_lo, lower, 0.0), np.where(has_hi, upper, 0.0)
+    factr = LBFGSB_FTOL / np.finfo(float).eps
+    x, f, g = np.array(z, dtype=np.float64), 0.0, np.zeros(n)
+    wa, iwa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, np.int32)
+    task, ln_task, lsave, isave = (np.zeros(k, np.int32) for k in (2, 2, 4, 44))
+    dsave = np.zeros(29)
+    last_x, last_f, last_g = z, f0, g0
+    evals, iters = 1, 0
+    while True:
+        setulb(m, x, low, up, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, LBFGSB_MAX_LINE_SEARCH, ln_task)
+        if task[0] == 3:  # FG: wants f and g at x
+            if not np.array_equal(x, last_x):
+                last_x = x.copy()
+                last_f, last_g = fg(last_x)
+                evals += 1
+            f, g = last_f, last_g.copy()
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            iters += 1
+            if iters >= max_iters:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif evals > LBFGSB_MAX_EVALS:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:
+            return x, g, iters
+
+
 def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = None) -> SolverResult:
     """Minimize the problem from z0 (projected into the box if outside).
 
     Returns the best iterate found: the least-objective feasible point when
     one exists, otherwise the least-violation point with status
-    `infeasible_stationary`.  Each outer iteration first evaluates the
-    augmented Lagrangian at its start and applies L-BFGS-B's own start test:
-    a start whose projected gradient is within gtol is kept as the inner
-    solution without calling L-BFGS-B, which would return it unchanged.
+    `infeasible_stationary`.  Each outer iteration evaluates the augmented
+    Lagrangian at its start once and hands that evaluation to L-BFGS-B,
+    which stops there without an iteration when the start passes its
+    projected-gradient test.
     """
     config = config or SolverConfig()
-    bounds = Bounds(problem.lower, problem.upper)
-    gtol = 0.3 * config.optimality_tol
-    options = {"maxiter": config.inner_max_iters, "maxcor": 10, "ftol": 1e-15, "gtol": gtol}
+    gtol = INNER_GTOL_FRACTION * config.optimality_tol
 
     def objective(zz: np.ndarray) -> float:
         f = float(problem.objective(zz))
@@ -186,30 +233,15 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
             g = g + _checked("constraint gradient", zz, problem.constraints_weighted_grad(zz, w))
         return value, g
 
-    # The current outer iteration's start (as bytes) and its AL value and
-    # gradient; the memo lives for one outer iteration, as lam and the
-    # penalty change.
-    start_key, start = b"", None
-
-    def al_from_start(zz: np.ndarray) -> tuple[float, np.ndarray]:
-        """al_value_and_grad, serving L-BFGS-B's first call, at the start, from the memo once."""
-        nonlocal start
-        if start is not None and zz.tobytes() == start_key:
-            served, start = start, None
-            return served
-        return al_value_and_grad(zz)
-
     outer_done = 0
     seen_states: set[bytes] = set()
     for outer in range(config.outer_max_iters):
-        start_key, start = z.tobytes(), al_value_and_grad(z)
-        pg_norm = _projected_grad_norm(problem, z, start[1])
-        if pg_norm > gtol:
-            res = minimize(al_from_start, z, jac=True, method="L-BFGS-B", bounds=bounds, options=options)
-            z = problem.project(np.asarray(res.x, dtype=float))
-            inner_total += int(res.nit)
-            # L-BFGS-B returns the AL gradient at its final point, res.x == z.
-            pg_norm = _projected_grad_norm(problem, z, res.jac)
+        # The start's evaluation is L-BFGS-B's first.
+        x, g, nit = _lbfgsb(al_value_and_grad, z, *al_value_and_grad(z), problem.lower, problem.upper, config.inner_max_iters, gtol)
+        z = problem.project(x)
+        inner_total += nit
+        # L-BFGS-B returns the AL gradient at its final point, x == z.
+        pg_norm = _projected_grad_norm(problem, z, g)
         outer_done = outer + 1
 
         f = objective(z)

@@ -265,6 +265,26 @@ class TestPoseByPoseOracle:
         assert np.all(error <= 1e-9 * (rho_sq + dist_sq)), error.max()
 
 
+@st.composite
+def controller_encounters(draw):
+    """Random ownship and intruder poses, step, horizon and z seed under the crossing's controller settings."""
+    coord, angle = st.floats(-1500.0, 1500.0), st.floats(-math.pi, math.pi)
+    own, intruder = draw(st.builds(Pose, coord, coord, angle)), draw(st.builds(Pose, coord, coord, angle))
+    horizon = draw(st.integers(1, 30))
+    return own, intruder, draw(st.integers(0, 40)), horizon, draw(st.integers(0, min(3, horizon))), draw(st.integers(0, 2**32 - 1))
+
+
+class TestGradientsOnRandomEncounters:
+    @pytest.mark.parametrize("mode", list(MpcMode), ids=lambda m: m.value)
+    @settings(max_examples=25, deadline=None)
+    @given(controller_encounters())
+    def test_check_gradient_passes(self, mode, case):
+        own, intruder, t, horizon, robust_horizon, seed = case
+        problem, _ = build_problem(own, intruder, t, crossing_schedule(), config(mode, horizon, robust_horizon))
+        z = np.random.default_rng(seed).uniform(problem.lower, problem.upper)
+        assert check_gradient(problem, z) <= 1e-5
+
+
 class TestSolveStep:
     def test_far_intruder_flies_straight_at_max_speed(self):
         sol = solve_step(Pose(0, 0, 0), Pose(10000, 10000, 0), 0, crossing_schedule(), config())

@@ -2,16 +2,23 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, minimize
+from scipy.optimize._lbfgsb import setulb
 
-from intentmpc import NlpProblem, NumericalDomainError, SolverConfig, check_gradient, solve
+from intentmpc import NlpProblem, NumericalDomainError, SolverConfig, build_problem, check_gradient, solve
 from intentmpc import solver
+from intentmpc.mpc import cold_start
+from intentmpc.scenario_io import load_scenario
+from intentmpc.sim import intruder_plan
 from intentmpc.solver import STATUS_CONVERGED, _projected_grad_norm
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def clipped_quadratic() -> NlpProblem:
@@ -205,29 +212,17 @@ class TestSolve:
             SolverConfig(**{name: value})
 
 
-def recorded_minimize(monkeypatch) -> list:
-    """Route the solver's L-BFGS-B calls through scipy, recording (kwargs, result) of each."""
-    calls = []
-
-    def recording(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        calls.append((kwargs, res))
-        return res
-
-    monkeypatch.setattr(solver, "minimize", recording)
-    return calls
-
-
-@pytest.fixture(scope="module")
-def lbfgsb_options() -> dict:
-    """The options `solve` passes to L-BFGS-B under the default SolverConfig."""
-    with pytest.MonkeyPatch.context() as mp:
-        calls = recorded_minimize(mp)
-        solve(clipped_quadratic(), np.array([0.0]))
-    return calls[0][0]["options"]
-
-
-GTOL = 0.3 * SolverConfig().optimality_tol
+# The L-BFGS-B options `solve` applies under the default SolverConfig, as
+# scipy.optimize.minimize takes them.
+LBFGSB_OPTIONS = {
+    "maxiter": SolverConfig().inner_max_iters,
+    "maxcor": solver.LBFGSB_CORRECTIONS,
+    "ftol": solver.LBFGSB_FTOL,
+    "gtol": solver.INNER_GTOL_FRACTION * SolverConfig().optimality_tol,
+    "maxls": solver.LBFGSB_MAX_LINE_SEARCH,
+    "maxfun": solver.LBFGSB_MAX_EVALS,
+}
+GTOL = LBFGSB_OPTIONS["gtol"]
 PGTOL_MESSAGE = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
 
 
@@ -266,7 +261,7 @@ class TestStartTest:
     @example((np.array([0.0]), np.array([1.0]), np.array([0.5]), np.array([-np.nextafter(GTOL, 1.0)])), 1.0)
     # The distance to the lower bound, not g, sets |pg|.
     @example((np.array([0.0]), np.array([1.0]), np.array([GTOL]), np.array([5.0])), 1.0)
-    def test_matches_lbfgsb_at_its_start(self, lbfgsb_options, case, curvature):
+    def test_matches_lbfgsb_at_its_start(self, case, curvature):
         lower, upper, z, g = case
         assume(np.any(lower < upper))  # scipy does not run L-BFGS-B on a fully fixed box
         # A quadratic whose gradient at z is exactly g.
@@ -283,24 +278,31 @@ class TestStartTest:
             jac=True,
             method="L-BFGS-B",
             bounds=Bounds(lower, upper),
-            options=lbfgsb_options,
+            options=LBFGSB_OPTIONS,
         )
         stopped_at_start = res.nit == 0 and res.message == PGTOL_MESSAGE
-        if _projected_grad_norm(problem, z, g) <= lbfgsb_options["gtol"]:
+        if _projected_grad_norm(problem, z, g) <= GTOL:
             assert stopped_at_start
             assert res.x.tobytes() == z.tobytes()
         else:
             assert not stopped_at_start
 
-    def test_stationary_start_is_returned_without_lbfgsb(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("L-BFGS-B called at a stationary start")
+    def test_stationary_start_is_returned_without_lbfgsb(self):
+        # L-BFGS-B stops at a start that passes its test: no iteration, and
+        # no evaluation beyond the start's own.
+        grad_calls = 0
+        base = clipped_quadratic()
 
-        monkeypatch.setattr(solver, "minimize", refuse)
+        def counted_grad(z):
+            nonlocal grad_calls
+            grad_calls += 1
+            return base.objective_grad(z)
+
         z0 = np.array([1.0])  # the minimizer, on the upper bound
-        res = solve(clipped_quadratic(), z0)
+        res = solve(replace(base, objective_grad=counted_grad), z0)
         assert res.z_star.tobytes() == z0.tobytes()
         assert (res.inner_iters_total, res.outer_iters, res.status) == (0, 1, STATUS_CONVERGED)
+        assert grad_calls == 1
 
     def test_start_is_evaluated_once(self, monkeypatch):
         grad_calls = 0
@@ -311,14 +313,133 @@ class TestStartTest:
             grad_calls += 1
             return base.objective_grad(z)
 
-        calls = recorded_minimize(monkeypatch)
+        # Points at which each driver call evaluated the AL itself.
+        fresh: list[list] = []
+        driver = solver._lbfgsb
+
+        def recording(fg, *args):
+            points = []
+            fresh.append(points)
+            return driver(lambda x: points.append(x) or fg(x), *args)
+
+        monkeypatch.setattr(solver, "_lbfgsb", recording)
         res = solve(replace(base, objective_grad=counted_grad), np.array([0.0]), SolverConfig(outer_max_iters=8))
-        # The first outer iteration runs L-BFGS-B; later ones start on the
-        # upper bound with the multiplier pushing into it, and skip it.
-        skips = res.outer_iters - len(calls)
-        assert calls and skips
-        # One evaluation per outer start; L-BFGS-B's first, at the start, is that one.
-        assert grad_calls == skips + sum(inner.nfev for _, inner in calls)
+        assert len(fresh) == res.outer_iters
+        # The first outer iteration moves; later ones start on the upper bound
+        # with the multiplier pushing into it, and stop at their start.
+        assert fresh[0] and not all(fresh)
+        # One evaluation per outer start, handed to the driver, plus the
+        # driver's own at points other than the last one evaluated.
+        assert grad_calls == res.outer_iters + sum(len(points) for points in fresh)
+
+
+def quadratic(a: np.ndarray, b: np.ndarray):
+    return lambda x: (0.5 * float(x @ a @ x) - float(b @ x), a @ x - b)
+
+
+def chained_rosenbrock(x: np.ndarray) -> tuple[float, np.ndarray]:
+    r, s = x[1:] - x[:-1] ** 2, 1.0 - x[:-1]
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * x[:-1] * r - 2.0 * s
+    g[1:] += 200.0 * r
+    return float(100.0 * r @ r + s @ s), g
+
+
+def wrong_gradient(a: np.ndarray, b: np.ndarray):
+    """The quadratic's value with the gradient's sign flipped: L-BFGS-B's first
+    line search climbs, fails and ends ABNORMAL, restoring its start."""
+    return lambda x: (0.5 * float(x @ a @ x) - float(b @ x), b - a @ x)
+
+
+@st.composite
+def box_problems(draw):
+    """(fg, lower, upper, x0): a convex quadratic, a chained Rosenbrock or a
+    wrong-gradient function on a box with finite, one-sided and infinite bounds."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["both", "lower", "upper", "none", "fixed"]), min_size=n, max_size=n))
+    assume(any(k != "fixed" for k in kinds))  # scipy does not run L-BFGS-B on a fully fixed box
+    centre, width = rng.uniform(-2.0, 2.0, n), rng.uniform(0.0, 3.0, n)
+    lower = np.where(np.isin(kinds, ["both", "lower"]), centre - width, -np.inf)
+    upper = np.where(np.isin(kinds, ["both", "upper"]), centre + width, np.inf)
+    fixed = np.array(kinds) == "fixed"
+    lower[fixed] = upper[fixed] = centre[fixed]
+    m = rng.normal(size=(n, n))
+    a, b = m @ m.T + 0.1 * np.eye(n), rng.normal(size=n)
+    fg = draw(st.sampled_from([quadratic(a, b), chained_rosenbrock, wrong_gradient(a, b)]))
+    return fg, lower, upper, rng.uniform(-3.0, 3.0, n)
+
+
+def driver_and_scipy(fg, lower, upper, x0, max_iters):
+    """(x, g, iterations, evaluations) from solver._lbfgsb and from scipy's
+    minimize(method="L-BFGS-B") on the same problem, both from x0 clipped to the box."""
+    x0 = np.clip(x0, lower, upper)
+    fresh = 0
+
+    def counted(x):
+        nonlocal fresh
+        fresh += 1
+        return fg(x)
+
+    f0, g0 = fg(x0)
+    x, g, nit = solver._lbfgsb(counted, x0, f0, g0, lower, upper, max_iters, GTOL)
+    res = minimize(fg, x0, jac=True, method="L-BFGS-B", bounds=Bounds(lower, upper), options={**LBFGSB_OPTIONS, "maxiter": max_iters})
+    # The driver is handed the start's evaluation; scipy counts it.
+    return (x.tobytes(), g.tobytes(), nit, 1 + fresh), (res.x.tobytes(), res.jac.tobytes(), res.nit, res.nfev), res
+
+
+class TestLbfgsbDriver:
+    """`_lbfgsb` runs scipy's own L-BFGS-B loop around the private `setulb`:
+    the same point, gradient, iteration and evaluation counts, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_problems(), st.integers(1, 200))
+    def test_matches_scipy_minimize(self, problem, max_iters):
+        ours, theirs, _ = driver_and_scipy(*problem, max_iters)
+        assert ours == theirs
+
+    def test_wrong_gradient_ends_abnormal(self):
+        a, b = np.diag([1.0, 2.0, 3.0]), np.array([1.0, -1.0, 0.5])
+        lower, upper = np.full(3, -5.0), np.full(3, 5.0)
+        ours, theirs, res = driver_and_scipy(wrong_gradient(a, b), lower, upper, np.array([1.0, 1.0, 1.0]), 200)
+        assert res.message.startswith("ABNORMAL")
+        assert ours == theirs
+
+    def test_setulb_never_gets_an_evaluated_gradient(self, monkeypatch):
+        # After a failed line search setulb writes the previous gradient back
+        # into its g in place; that must not reach the driver's last point.
+        returned = []
+
+        def fg(x):
+            value, g = chained_rosenbrock(x)
+            returned.append(g)
+            return value, g
+
+        handed = []
+        monkeypatch.setattr(solver, "setulb", lambda *args: handed.append(args[6]) or setulb(*args))
+        x0 = np.array([-1.2, 1.0, 0.5])
+        x, g, nit = solver._lbfgsb(fg, x0, *fg(x0), np.full(3, -2.0), np.full(3, 2.0), 200, GTOL)
+        assert nit > 0 and len(returned) > 1
+        assert not any(h is r for h in handed for r in returned)
+
+    def test_matches_scipy_on_a_crossing_augmented_lagrangian(self):
+        """The crossing's first step is a conflict: the cold start violates
+        separation rows, which give the multipliers their nonzero entries."""
+        spec = load_scenario(SCENARIOS / "reference_crossing.json")
+        problem, _ = build_problem(spec.own_start, spec.intruder_start, 0, intruder_plan(spec)[1], spec.mpc)
+        z0 = cold_start(spec.mpc)
+        penalty = solver.INITIAL_PENALTY * solver.PENALTY_GROWTH
+        lam = np.maximum(0.0, solver.INITIAL_PENALTY * problem.constraints(z0))
+        assert lam.any()
+
+        def augmented_lagrangian(z):
+            w = np.maximum(0.0, lam + penalty * problem.constraints(z))
+            value = problem.objective(z) + (w @ w - lam @ lam) / (2.0 * penalty)
+            return value, problem.objective_grad(z) + problem.constraints_weighted_grad(z, w)
+
+        ours, theirs, res = driver_and_scipy(augmented_lagrangian, problem.lower, problem.upper, z0, 200)
+        assert res.nit > 0
+        assert ours == theirs
 
 
 class TestCheckGradient:

@@ -58,7 +58,8 @@ def test_traced_scenario_count_is_the_tree_width(monkeypatch):
 def test_traced_solve_without_an_inner_solve(monkeypatch):
     # The target (900, 0) lies straight ahead beyond the horizon's reach and
     # the intruder is far away, so the cold start (straight on at v_max) is
-    # stationary: the solver evaluates it once and skips L-BFGS-B.
+    # stationary: the solver evaluates it once, and L-BFGS-B stops at it
+    # without an iteration or a further evaluation.
     tracer = traced_solve_step(monkeypatch, config(MpcMode.CLASSIC, horizon=10), intruder=Pose(-5000, 5000, math.pi))
     names = {span[0] for span in tracer.spans}
     assert {"mpc.objective", "mpc.objective_grad", "mpc.constraints", "solver.solve"} <= names
