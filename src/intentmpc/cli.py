@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 invalid scenario or arguments (stderr names the
 offending JSON path), 3 solver numerical failure (partial outputs are still
 written).  INTENT_MPC_THREADS caps Monte-Carlo parallelism (0 = one worker
-per CPU; unset = serial).  With two or more workers, also set
-OPENBLAS_NUM_THREADS=1: otherwise the BLAS threads of every worker spin
-between calls, outnumber the cores, and the pool runs slower than one
+per CPU this process may run on; unset = serial).  With two or more workers,
+also set OPENBLAS_NUM_THREADS=1: otherwise the BLAS threads of every worker
+spin between calls, outnumber the cores, and the pool runs slower than one
 process.
 """
 
@@ -43,7 +43,10 @@ def _monte_carlo_workers() -> int:
         raise ScenarioError("INTENT_MPC_THREADS", f"expected an integer, got {raw!r}")
     if value < 0:
         raise ScenarioError("INTENT_MPC_THREADS", "must be >= 0")
-    return os.cpu_count() or 1 if value == 0 else value
+    if value:
+        return value
+    # The CPUs this process may run on, not every CPU of the machine.
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _load_spec(args):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .dynamics import separation
 from .sim import MonteCarloReport, SimTrace, metrics
@@ -103,9 +102,11 @@ def _marker(frame: Frame, x: float, y: float, color: str) -> str:
 
 
 def _text(x: float, y: float, content: str, size: int = 12, anchor: str = "start", color: str = BLACK) -> str:
+    # XML-escaped as xml.sax.saxutils.escape does, without importing xml.sax.
+    content = content.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
     return (
         f'<text x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" font-size="{size}" '
-        f'text-anchor="{anchor}" fill="{color}">{escape(content)}</text>'
+        f'text-anchor="{anchor}" fill="{color}">{content}</text>'
     )
 
 

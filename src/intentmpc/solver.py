@@ -10,13 +10,44 @@ Everything is deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 from typing import Callable
 
 import numpy as np
-# scipy 1.15 ported L-BFGS-B to C and gave `setulb` its present
-# (..., maxls, ln_task) signature, hence the floor scipy>=1.15.
-from scipy.optimize._lbfgsb import setulb
+
+LBFGSB_MODULE = "scipy.optimize._lbfgsb"
+
+
+def _load_lbfgsb(scipy_dir: str):
+    """scipy's compiled L-BFGS-B module, loaded from the scipy package at scipy_dir.
+
+    Importing it by name would first run scipy/optimize/__init__, which loads
+    scipy.linalg, sparse, special and more: about two thirds of the CLI's
+    import time and modules.  The extension needs only numpy.  scipy 1.15
+    ported L-BFGS-B to C as optimize/_lbfgsb and gave `setulb` its present
+    (..., maxls, ln_task) signature, hence the floor scipy>=1.15.
+    """
+    directory = os.path.join(scipy_dir, "optimize")
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(LBFGSB_MODULE)
+    if spec is None:
+        raise ImportError(f"no {LBFGSB_MODULE} extension in {directory}; intentmpc needs scipy>=1.15",
+                          name=LBFGSB_MODULE, path=directory)
+    imported = LBFGSB_MODULE in sys.modules
+    module = module_from_spec(spec)
+    if not imported:
+        # A single-phase C extension enters itself in sys.modules as it is
+        # created; take it out, so that no scipy module is registered without
+        # its package and a later `import scipy.optimize` loads its own.
+        sys.modules.pop(LBFGSB_MODULE, None)
+    spec.loader.exec_module(module)
+    return module
+
+
+setulb = _load_lbfgsb(find_spec("scipy").submodule_search_locations[0]).setulb
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERS = "max_iters"

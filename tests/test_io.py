@@ -2,15 +2,20 @@
 
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from intentmpc import Disturbance, MpcConfig, MpcMode, Pose, ScenarioSpec, run_closed_loop, run_monte_carlo
+from intentmpc import cli
 from intentmpc.cli import main
 from intentmpc.plots import (
+    _text,
     plot_controls,
     plot_monte_carlo_separation,
     plot_monte_carlo_trajectories,
@@ -215,6 +220,12 @@ class TestSvg:
     def test_plots_deterministic(self, quick_trace):
         assert plot_trajectories(quick_trace) == plot_trajectories(quick_trace)
 
+    @given(st.text())
+    def test_text_is_escaped_as_saxutils_does(self, content):
+        from xml.sax.saxutils import escape
+
+        assert _text(0.0, 0.0, content).endswith(f">{escape(content)}</text>")
+
 
 class TestCli:
     def test_simulate_writes_outputs(self, quick_path, tmp_path, capsys):
@@ -275,6 +286,20 @@ class TestCli:
         out = tmp_path / "p"
         assert main(["montecarlo", "--scenario", str(scenario), "--out", str(out), "--runs", "2"]) == 0
         assert (out / "report.json").exists()
+
+    @pytest.mark.parametrize("raw, workers", [("0", 2), ("3", 3)])
+    def test_monte_carlo_workers_count_usable_cpus(self, monkeypatch, raw, workers):
+        # A process pinned to 2 of 64 CPUs gets 2 workers for INTENT_MPC_THREADS=0.
+        monkeypatch.setenv("INTENT_MPC_THREADS", raw)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._monte_carlo_workers() == workers
+
+    def test_monte_carlo_workers_without_affinity(self, monkeypatch):
+        monkeypatch.setenv("INTENT_MPC_THREADS", "0")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._monte_carlo_workers() == 64
 
     def test_dubins_straight(self, capsys):
         code = main(["dubins", "--start", "0", "0", "0", "--goal", "200", "0", "0", "--radius", "100", "--speed", "10"])
