@@ -13,7 +13,7 @@ from intentmpc import (
     ControlBounds,
     Pose,
     TreeShape,
-    branch_index,
+    branch_table,
     build_scenario_tree,
     control_schedule,
     shortest_path,
@@ -27,10 +27,11 @@ def main() -> None:
     shape = TreeShape(robust_horizon=3, horizon=30)
     print(f"m=3, robust horizon={shape.robust_horizon} -> {shape.scenario_count} scenarios")
 
+    # Row j-1 holds scenario j's branch at every stage.
+    table = branch_table(shape).tolist()
     print("\nbranch tuples (scenario -> first three stages):")
-    for j in range(1, shape.scenario_count + 1):
-        tup = tuple(branch_index(j, k, shape) for k in range(shape.robust_horizon))
-        tail = branch_index(j, shape.robust_horizon, shape)
+    for j, row in enumerate(table, start=1):
+        tup, tail = row[: shape.robust_horizon], row[shape.robust_horizon]
         print(f"  j={j:2d}: ({', '.join(LABEL[b] for b in tup)}), then {LABEL[tail]} for the rest")
 
     intruder = Pose(480.0, 0.0, math.pi)
@@ -44,8 +45,7 @@ def main() -> None:
         spread = max(math.hypot(ax - bx, ay - by) for ax, ay in xy for bx, by in xy)
         print(f"  stage {k:2d}: {spread:7.1f} m")
 
-    nominal = [j for j in range(1, shape.scenario_count + 1)
-               if all(branch_index(j, k, shape) == BRANCH_NOMINAL for k in range(shape.robust_horizon))]
+    nominal = [j for j, row in enumerate(table, start=1) if all(b == BRANCH_NOMINAL for b in row[: shape.robust_horizon])]
     print(f"\nscenario {nominal[0]} is the all-nominal branch: it reproduces the Dubins schedule exactly.")
 
 

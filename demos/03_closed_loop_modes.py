@@ -21,7 +21,7 @@ OUT = Path(__file__).resolve().parent / "out" / "closed_loop"
 
 def main() -> None:
     base = replace(load_scenario(SCENARIO), disturbance=Disturbance())
-    rho = base.min_separation
+    rho = base.mpc.min_separation
     print(f"reference crossing, rho = {rho:g} m, disturbance off\n")
     print(f"{'mode':16s} {'steps':>5s} {'arrived':>8s} {'min sep':>9s} {'@t':>4s} {'path':>8s} {'solve':>7s}")
 

@@ -29,9 +29,9 @@ def main() -> None:
     print(f"finished in {time.perf_counter() - start:.0f}s\n")
 
     print("run  seed        min sep   arrived")
-    for outcome in report.runs:
+    for index, outcome in enumerate(report.runs):
         m = metrics(outcome.trace)
-        print(f"{outcome.index:3d}  {outcome.seed:<10d} {m.min_separation:8.2f}   {outcome.trace.arrived}")
+        print(f"{index:3d}  {outcome.trace.spec.rng_seed:<10d} {m.min_separation:8.2f}   {outcome.trace.arrived}")
     agg = report.aggregate
     print(f"\nworst min separation over runs: {agg.min_min_separation:.2f} m")
     print(f"runs violating the floor:       {agg.violation_runs}")

@@ -92,12 +92,12 @@ def cmd_montecarlo(args) -> int:
     out = Path(args.out)
     report = run_monte_carlo(spec, runs=args.runs, max_workers=_monte_carlo_workers())
     failures = 0
-    for outcome in report.runs:
-        if outcome.trace is not None and outcome.trace.steps:
-            _write(out / f"run_{outcome.index:03d}.csv", trace_to_csv(outcome.trace))
+    for index, outcome in enumerate(report.runs):
+        if outcome.trace.steps:
+            _write(out / f"run_{index:03d}.csv", trace_to_csv(outcome.trace))
         if outcome.error is not None:
             failures += 1
-            print(f"run {outcome.index} failed: {outcome.error}", file=sys.stderr)
+            print(f"run {index} failed: {outcome.error}", file=sys.stderr)
     _write(out / "nominal.csv", trace_to_csv(report.nominal))
     _write(out / "report.json", dump_json(report_doc(report)))
     _write(out / "overlay_traj.svg", plot_monte_carlo_trajectories(report))

@@ -17,14 +17,6 @@ from enum import Enum
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(angle: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]."""
-    a = angle % TWO_PI
-    if a > math.pi:
-        a -= TWO_PI
-    return a
-
-
 def mod2pi(angle: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
     return angle % TWO_PI
@@ -33,7 +25,7 @@ def mod2pi(angle: float) -> float:
 @dataclass(frozen=True)
 class Pose:
     """Planar position and heading. Heading accumulates without wrapping;
-    compare headings through wrap_angle."""
+    compare headings modulo 2*pi."""
 
     x: float
     y: float

@@ -6,10 +6,10 @@ enumerated as a tree of control sequences branching over
 {upper rate, lower rate, nominal rate} for the first few stages (the robust
 horizon) and following the nominal schedule afterwards.
 
-`step`/`rollout` integrate one pose at a time; `build_scenario_tree`
-integrates every scenario at once as cumulative sums over arrays.  Both
-perform the same floating-point operations in the same order, so a tree's
-trajectories equal the sequential rollout of its rates bit for bit.
+`step` advances one pose; `build_scenario_tree` integrates every scenario
+at once as cumulative sums over arrays, by the same floating-point
+operations in the same order, so a tree's trajectories equal repeated
+`step`s over its rates bit for bit.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class ScenarioTree:
 
     The first axis of both arrays is the scenario, so `len(tree.rates)` and
     `len(tree.trajectories)` count scenarios.  Row j-1 of `trajectories`
-    equals `rollout` of `ControlInput(speed, u)` over `rates[j-1]` bit for
-    bit.  Scenarios sharing a branch prefix share the rate prefix, so
+    equals `step` repeated with `ControlInput(speed, u)` over `rates[j-1]`
+    bit for bit.  Scenarios sharing a branch prefix share the rate prefix, so
     non-anticipativity holds by construction.
     """
 
@@ -117,36 +117,12 @@ def step(state: Pose, inp: ControlInput, dt: float) -> Pose:
     )
 
 
-def rollout(initial: Pose, inputs: list[ControlInput] | tuple[ControlInput, ...], dt: float) -> tuple[Pose, ...]:
-    """Iterate `step`; element 0 is the initial pose."""
-    if len(inputs) == 0:
-        raise ValueError("rollout requires at least one input")
-    poses = [initial]
-    for inp in inputs:
-        poses.append(step(poses[-1], inp, dt))
-    return tuple(poses)
-
-
-def branch_index(j: int, k: int, shape: TreeShape) -> int:
-    """Branch taken by scenario j (1-based) at stage k.
-
-    Over the robust horizon this is digit k of j-1 in base 3, most significant
-    first; afterwards every scenario follows the nominal branch.
-    """
-    if not 1 <= j <= shape.scenario_count:
-        raise ValueError(f"scenario id {j} outside 1..{shape.scenario_count}")
-    if not 0 <= k < shape.horizon:
-        raise ValueError(f"stage {k} outside 0..{shape.horizon - 1}")
-    if k >= shape.robust_horizon:
-        return BRANCH_NOMINAL
-    return (math.ceil(j / BRANCH_COUNT ** (shape.robust_horizon - 1 - k)) - 1) % BRANCH_COUNT
-
-
 def branch_table(shape: TreeShape) -> np.ndarray:
     """Branches of every scenario at every stage, (M, N) integers.
 
-    Row j-1 is `branch_index(j, k, shape)` for k = 0..N-1: the base-3 digits
-    of j-1, most significant first, then nominal past the robust horizon.
+    Row j-1 holds the branch of scenario j at stages k = 0..N-1: the base-3
+    digits of j-1, most significant first, then nominal past the robust
+    horizon.
     """
     table = np.full((shape.scenario_count, shape.horizon), BRANCH_NOMINAL)
     powers = BRANCH_COUNT ** np.arange(shape.robust_horizon - 1, -1, -1)

@@ -10,7 +10,7 @@ and differ only in how the intruder is predicted:
   robust horizon (the robust controller);
 * classic: single nominal-schedule prediction;
 * no-intent: single straight-line prediction (nominal rates zeroed);
-* unconstrained: no separation constraints at all (nominal-path baseline).
+* unconstrained: zero separation rows (nominal-path baseline).
 """
 
 from __future__ import annotations
@@ -75,11 +75,6 @@ class MpcWeights:
         object.__setattr__(self, "terminal_weight", qf)
 
 
-# Position-dominant tracking with terminal heading alignment; tunable per
-# scenario, not a claim about any reference data.
-DEFAULT_WEIGHTS = MpcWeights((0.01, 0.01, 0.0), (1.0, 1.0, 10.0), 100.0)
-
-
 @dataclass(frozen=True)
 class MpcConfig:
     horizon: int
@@ -108,7 +103,6 @@ class MpcConfig:
 class MpcSolution:
     first_input: ControlInput
     solver: SolverResult
-    controls: np.ndarray  # optimal decision vector, kept for warm starting
 
 
 class _Rollout(NamedTuple):
@@ -118,7 +112,7 @@ class _Rollout(NamedTuple):
     du: np.ndarray  # (N-1,) rate changes
     cs: np.ndarray  # (2, N) rows cos, sin of the headings at stages 0..N-1
     ab: np.ndarray  # (2, N+1) rows a[k] = sum_{i<k} v_i sin(sigma_i), b[k] = sum_{i<k} v_i cos(sigma_i)
-    d: np.ndarray | None  # (2, M, N+1) ownship minus intruder (x, y) per scenario and stage; None if unconstrained
+    d: np.ndarray  # (2, M, N+1) ownship minus intruder (x, y) per scenario and stage; M = 0 if unconstrained
 
 
 class _SingleShooting:
@@ -146,8 +140,10 @@ class _SingleShooting:
         # of the rate gradient's terms: dt*ss1, (-dt*dt)*(x term), dt*dt*(y term).
         self.stage_weights = np.array((config.weights.state_weight, config.weights.terminal_weight)).T.repeat((self.n, 1), axis=1)
         self.gu_scale = np.array([[self.dt], [-self.dt * self.dt], [self.dt * self.dt]])
-        # Intruder (x, y) per scenario and stage, one (2, M, N+1) block.
-        self.intr = None if config.mode is MpcMode.UNCONSTRAINED else tree.trajectories[..., :2].transpose(2, 0, 1).copy()
+        # Intruder (x, y) per scenario and stage, one (2, M, N+1) block;
+        # unconstrained takes no scenario, so it has zero separation rows.
+        scenarios = tree.trajectories[:0] if config.mode is MpcMode.UNCONSTRAINED else tree.trajectories
+        self.intr = scenarios[..., :2].transpose(2, 0, 1).copy()
         self.rho_sq = config.min_separation**2
         self._key: bytes | None = None
         self._rec: _Rollout | None = None
@@ -172,7 +168,7 @@ class _SingleShooting:
         pos = np.multiply(ba, dt, out=err[:2])
         pos += self.start_xy
         pos[:, :1] = self.start_xy  # stage 0 is the start itself, not 0*dt + start
-        d = None if self.intr is None else pos[:, None, :] - self.intr
+        d = pos[:, None, :] - self.intr
         pos -= self.target_xy
         wrap_angles(np.subtract(sigma, self.target_heading, out=err[2]), out=err[2])
         self._key = key
@@ -281,16 +277,15 @@ def build_problem(
     ob = config.own_bounds
     lower = np.concatenate((np.full(n, ob.u_min), np.full(n, ob.v_min)))
     upper = np.concatenate((np.full(n, ob.u_max), np.full(n, ob.v_max)))
-    constrained = config.mode is not MpcMode.UNCONSTRAINED
     problem = NlpProblem(
         dimension=2 * n,
         objective=shoot.objective,
         objective_grad=shoot.objective_grad,
         lower=lower,
         upper=upper,
-        constraints=shoot.constraints if constrained else None,
-        constraints_jac=shoot.constraints_jac if constrained else None,
-        constraints_weighted_grad=shoot.constraints_weighted_grad if constrained else None,
+        constraints=shoot.constraints,
+        constraints_jac=shoot.constraints_jac,
+        constraints_weighted_grad=shoot.constraints_weighted_grad,
     )
     return problem, tree
 
@@ -316,11 +311,9 @@ def solve_step(
 ) -> MpcSolution:
     """Solve one receding-horizon instance and package the applied action."""
     problem, _ = build_problem(own_now, intruder_now, t, intent_schedule, config)
-    z0 = shift_warm_start(warm.controls, config.horizon) if warm is not None else cold_start(config)
+    z0 = shift_warm_start(warm.solver.z_star, config.horizon) if warm is not None else cold_start(config)
     result = solve(problem, z0, config.solver)
-
-    z = result.z_star
-    n = config.horizon
-    first = config.own_bounds.clamp(ControlInput(speed=float(z[n]), angular_rate=float(z[0])))
-    return MpcSolution(first_input=first, solver=result, controls=z)
+    # z_star is projected onto the box, which is the ownship's control bounds.
+    z, n = result.z_star, config.horizon
+    return MpcSolution(first_input=ControlInput(speed=float(z[n]), angular_rate=float(z[0])), solver=result)
 

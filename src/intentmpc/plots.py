@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import separation
 from .sim import MonteCarloReport, SimTrace, metrics
 
 WIDTH, HEIGHT = 800, 560
@@ -223,7 +222,7 @@ def plot_controls(trace: SimTrace) -> str:
 
 def plot_monte_carlo_trajectories(report: MonteCarloReport) -> str:
     """All realizations thin, the nominal run black."""
-    traces = [o.trace for o in report.runs if o.trace is not None and o.trace.steps]
+    traces = [o.trace for o in report.runs if o.trace.steps]
     all_pts = [_own_points(t) for t in traces] + [_intruder_points(t) for t in traces]
     all_pts.append(_own_points(report.nominal))
     all_pts.append(_intruder_points(report.nominal))
@@ -244,7 +243,7 @@ def plot_monte_carlo_trajectories(report: MonteCarloReport) -> str:
 
 def plot_monte_carlo_separation(report: MonteCarloReport) -> str:
     """Separation curves of every run with the floor dashed; nominal black."""
-    traces = [o.trace for o in report.runs if o.trace is not None and o.trace.steps]
+    traces = [o.trace for o in report.runs if o.trace.steps]
     rho = report.spec.mpc.min_separation
     hi = rho
     for t in traces + [report.nominal]:

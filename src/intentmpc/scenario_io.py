@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
-
-import numpy as np
+from dataclasses import asdict
 
 from .dubins import Pose
-from .dynamics import ControlBounds, separation
+from .dynamics import ControlBounds
 from .mpc import MpcConfig, MpcMode, MpcWeights
 from .sim import (
     DISTURBANCE_NONE,
@@ -26,7 +24,7 @@ from .sim import (
     SimTrace,
     metrics,
 )
-from .solver import SolverConfig
+from .solver import STATUS_INFEASIBLE, SolverConfig
 
 DEG = math.pi / 180.0
 
@@ -230,38 +228,6 @@ def trace_to_csv(trace: SimTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CsvMetrics:
-    min_separation: float
-    min_separation_time: int
-    path_length: float
-    violation_stages: int
-
-
-def metrics_from_csv(text: str, rho: float, dt: float = 1.0) -> CsvMetrics:
-    """Recompute the pose-derived metrics from an exported trace."""
-    rows = text.strip().split("\n")
-    if rows[0] != CSV_HEADER:
-        raise ValueError("unexpected CSV header")
-    seps = []
-    ts = []
-    speed_sum = 0.0
-    for row in rows[1:]:
-        cells = row.split(",")
-        own = Pose(float(cells[1]), float(cells[2]), float(cells[3]))
-        intr = Pose(float(cells[4]), float(cells[5]), float(cells[6]))
-        seps.append(separation(own, intr))
-        ts.append(int(cells[0]))
-        speed_sum += float(cells[7])
-    idx = int(np.argmin(seps))
-    return CsvMetrics(
-        min_separation=seps[idx],
-        min_separation_time=ts[idx],
-        path_length=dt * speed_sum,
-        violation_stages=sum(1 for s in seps if s < rho),
-    )
-
-
 def summary_doc(trace: SimTrace) -> dict:
     """Deterministic per-run summary (no timing)."""
     m = metrics(trace)
@@ -272,7 +238,7 @@ def summary_doc(trace: SimTrace) -> dict:
         "arrived": trace.arrived,
         "terminal_status": trace.terminal_status,
         "metrics": asdict(m),
-        "flagged_steps": sum(1 for s in trace.steps if s.flagged),
+        "flagged_steps": sum(1 for s in trace.steps if s.solver_status == STATUS_INFEASIBLE),
         "seed": trace.spec.rng_seed,
     }
 
@@ -280,9 +246,9 @@ def summary_doc(trace: SimTrace) -> dict:
 def report_doc(report: MonteCarloReport) -> dict:
     """Deterministic Monte-Carlo report document."""
     runs = []
-    for outcome in report.runs:
-        entry: dict = {"index": outcome.index, "seed": outcome.seed}
-        if outcome.trace is not None and outcome.trace.steps:
+    for index, outcome in enumerate(report.runs):
+        entry: dict = {"index": index, "seed": outcome.trace.spec.rng_seed}
+        if outcome.trace.steps:
             entry.update(summary_doc(outcome.trace))
         if outcome.error is not None:
             entry["error"] = outcome.error

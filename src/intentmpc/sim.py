@@ -82,8 +82,6 @@ class SimStep:
     solver_status: str
     solve_seconds: float
     inner_iters: int
-    outer_iters: int
-    flagged: bool
 
 
 @dataclass
@@ -94,8 +92,6 @@ class SimTrace:
     intruder_final: Pose
     arrived: bool
     terminal_status: str
-    intent_path: DubinsPath
-    intent_schedule: ControlSchedule
 
 
 class SimulationAborted(RuntimeError):
@@ -115,7 +111,7 @@ def intruder_plan(spec: ScenarioSpec) -> tuple[DubinsPath, ControlSchedule]:
 
 def run_closed_loop(spec: ScenarioSpec) -> SimTrace:
     """Simulate one encounter until arrival or the step budget runs out."""
-    intent_path, schedule = intruder_plan(spec)
+    _, schedule = intruder_plan(spec)
     config = spec.mpc
     rng = np.random.default_rng(spec.rng_seed) if spec.disturbance.kind == DISTURBANCE_UNIFORM else None
 
@@ -131,7 +127,7 @@ def run_closed_loop(spec: ScenarioSpec) -> SimTrace:
         try:
             sol = solve_step(own, intruder, t, schedule, config, warm)
         except NumericalDomainError as err:
-            trace = _finish_trace(spec, steps, own, intruder, False, intent_path, schedule)
+            trace = _finish_trace(spec, steps, own, intruder, False)
             raise SimulationAborted(f"solver domain error at step {t}: {err}", trace) from err
         solve_seconds = time.perf_counter() - t_start
 
@@ -157,8 +153,6 @@ def run_closed_loop(spec: ScenarioSpec) -> SimTrace:
                 solver_status=sol.solver.status,
                 solve_seconds=solve_seconds,
                 inner_iters=sol.solver.inner_iters_total,
-                outer_iters=sol.solver.outer_iters,
-                flagged=sol.solver.status == STATUS_INFEASIBLE,
             )
         )
 
@@ -168,35 +162,18 @@ def run_closed_loop(spec: ScenarioSpec) -> SimTrace:
         t += 1
         arrived = _within_target(own, spec)
 
-    return _finish_trace(spec, steps, own, intruder, arrived, intent_path, schedule)
+    return _finish_trace(spec, steps, own, intruder, arrived)
 
 
 def _within_target(own: Pose, spec: ScenarioSpec) -> bool:
     return math.hypot(own.x - spec.mpc.target.x, own.y - spec.mpc.target.y) <= spec.target_radius
 
 
-def _finish_trace(
-    spec: ScenarioSpec,
-    steps: list[SimStep],
-    own: Pose,
-    intruder: Pose,
-    arrived: bool,
-    intent_path: DubinsPath,
-    schedule: ControlSchedule,
-) -> SimTrace:
+def _finish_trace(spec: ScenarioSpec, steps: list[SimStep], own: Pose, intruder: Pose, arrived: bool) -> SimTrace:
     status = TERMINAL_ARRIVED if arrived else TERMINAL_MAX_STEPS
-    if any(s.separation < spec.mpc.min_separation for s in steps) or any(s.flagged for s in steps):
+    if any(s.separation < spec.mpc.min_separation or s.solver_status == STATUS_INFEASIBLE for s in steps):
         status = TERMINAL_VIOLATION
-    return SimTrace(
-        spec=spec,
-        steps=steps,
-        own_final=own,
-        intruder_final=intruder,
-        arrived=arrived,
-        terminal_status=status,
-        intent_path=intent_path,
-        intent_schedule=schedule,
-    )
+    return SimTrace(spec=spec, steps=steps, own_final=own, intruder_final=intruder, arrived=arrived, terminal_status=status)
 
 
 @dataclass(frozen=True)
@@ -210,10 +187,10 @@ class SimMetrics:
 
 
 def metrics(trace: SimTrace) -> SimMetrics:
-    """Summary metrics, recomputed from the recorded poses."""
+    """Summary metrics of the recorded steps."""
     if not trace.steps:
         raise ValueError("metrics require a nonempty trace")
-    seps = [separation(s.own, s.intruder) for s in trace.steps]
+    seps = [s.separation for s in trace.steps]
     idx = int(np.argmin(seps))
     return SimMetrics(
         min_separation=seps[idx],
@@ -227,9 +204,9 @@ def metrics(trace: SimTrace) -> SimMetrics:
 
 @dataclass
 class RunOutcome:
-    index: int
-    seed: int
-    trace: SimTrace | None
+    """One Monte-Carlo run: its trace (partial if the run aborted) and the abort message."""
+
+    trace: SimTrace
     error: str | None
 
     @property
@@ -259,16 +236,17 @@ class MonteCarloReport:
 
 def _run_for_report(spec: ScenarioSpec) -> RunOutcome:
     try:
-        return RunOutcome(index=0, seed=spec.rng_seed, trace=run_closed_loop(spec), error=None)
+        return RunOutcome(trace=run_closed_loop(spec), error=None)
     except SimulationAborted as err:
-        return RunOutcome(index=0, seed=spec.rng_seed, trace=err.trace, error=str(err))
+        return RunOutcome(trace=err.trace, error=str(err))
 
 
 def run_monte_carlo(spec: ScenarioSpec, runs: int, max_workers: int = 1) -> MonteCarloReport:
     """Run seeded repetitions plus the disturbance-free nominal reference.
 
-    Run i uses seed rng_seed + i.  The terminal spread is measured at the last
-    step index common to every run, against the nominal intruder position.
+    Run i, at list position i, uses seed rng_seed + i.  The terminal spread
+    is measured at the last step index common to every run, against the
+    nominal intruder position.
     """
     if runs < 1:
         raise ValueError("need at least one run")
@@ -280,8 +258,6 @@ def run_monte_carlo(spec: ScenarioSpec, runs: int, max_workers: int = 1) -> Mont
             outcomes = list(pool.map(_run_for_report, specs))
     else:
         outcomes = [_run_for_report(s) for s in specs]
-    for i, outcome in enumerate(outcomes):
-        outcome.index = i
 
     return MonteCarloReport(
         spec=spec,
@@ -292,7 +268,7 @@ def run_monte_carlo(spec: ScenarioSpec, runs: int, max_workers: int = 1) -> Mont
 
 
 def _aggregate(outcomes: list[RunOutcome], nominal: SimTrace) -> MonteCarloAggregate:
-    complete = [o.trace for o in outcomes if o.ok and o.trace is not None and o.trace.steps]
+    complete = [o.trace for o in outcomes if o.ok and o.trace.steps]
     if not complete:
         raise RuntimeError("no run completed; cannot aggregate")
     per_run = [metrics(t) for t in complete]

@@ -171,22 +171,16 @@ def _checked(what: str, z: np.ndarray, value) -> np.ndarray:
     return arr
 
 
-def _projected_grad_norm(problem: NlpProblem, z: np.ndarray, grad: np.ndarray) -> float:
-    """Infinity norm of the projected gradient, bit-exact with L-BFGS-B's `projgr`."""
-    if not z.size:
-        return 0.0
-    pg = np.where(grad < 0.0, np.maximum(z - problem.upper, grad), np.minimum(z - problem.lower, grad))
-    return float(np.max(np.abs(pg)))
-
-
 def _lbfgsb(fg: Callable[[np.ndarray], tuple[float, np.ndarray]], z: np.ndarray, f0: float, g0: np.ndarray,
-            lower: np.ndarray, upper: np.ndarray, max_iters: int, gtol: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """L-BFGS-B over the box from z, where fg(z) = (f0, g0); returns (x, gradient at x, iterations).
+            lower: np.ndarray, upper: np.ndarray, max_iters: int, gtol: float) -> tuple[np.ndarray, float, int]:
+    """L-BFGS-B over the box from z, where fg(z) = (f0, g0); returns (x, projected-gradient norm at x, iterations).
 
     scipy 1.17's `_minimize_lbfgsb` loop around the reverse-communication `setulb`
     (Zhu, Byrd, Lu & Nocedal 1997, ACM TOMS 23, Alg. 778), without the wrapper.  As
     in scipy, fg runs only at an x other than the last point's, and setulb gets a
     copy of g: after a failed line search it writes the previous gradient back into g.
+    The norm is L-BFGS-B's own sbgnrm, dsave(13): the infinity norm of the
+    projected gradient at x, which it computes for its own stopping test.
     """
     n, m = z.size, LBFGSB_CORRECTIONS
     has_lo, has_hi = ~np.isinf(lower), ~np.isinf(upper)
@@ -214,7 +208,7 @@ def _lbfgsb(fg: Callable[[np.ndarray], tuple[float, np.ndarray]], z: np.ndarray,
             elif evals > LBFGSB_MAX_EVALS:
                 task[:] = 5, 502  # STOP: evaluation limit
         else:
-            return x, g, iters
+            return x, float(dsave[12]), iters
 
 
 def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = None) -> SolverResult:
@@ -268,11 +262,9 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
     seen_states: set[bytes] = set()
     for outer in range(config.outer_max_iters):
         # The start's evaluation is L-BFGS-B's first.
-        x, g, nit = _lbfgsb(al_value_and_grad, z, *al_value_and_grad(z), problem.lower, problem.upper, config.inner_max_iters, gtol)
+        x, pg_norm, nit = _lbfgsb(al_value_and_grad, z, *al_value_and_grad(z), problem.lower, problem.upper, config.inner_max_iters, gtol)
         z = problem.project(x)
         inner_total += nit
-        # L-BFGS-B returns the AL gradient at its final point, x == z.
-        pg_norm = _projected_grad_norm(problem, z, g)
         outer_done = outer + 1
 
         f = objective(z)
@@ -332,29 +324,36 @@ def check_gradient(problem: NlpProblem, z: np.ndarray) -> float:
     Each gradient (objective, each constraint row, and J^T w for a fixed
     nonnegative weight vector w, the product the solver uses) is compared in
     the infinity norm relative to its own magnitude, floored at 1.  The FD
-    step eps^(1/3) * max(1, |z_i|) balances truncation against roundoff so
-    the comparison resolves well below 1e-5 even for large-magnitude
-    constraints.
+    step h_i = eps^(1/3) * max(1, |z_i|) balances truncation against
+    roundoff.  A function of value f is evaluated to about eps * |f|, so
+    entry i of its difference quotient carries a roundoff of about
+    eps * |f| / h_i; that much of each entry's discrepancy is forgiven, so a
+    small gradient of a large function does not read as an error.
     """
     z = np.asarray(z, dtype=float)
-    step = float(np.finfo(float).eps ** (1.0 / 3.0))
+    if not z.size:
+        return 0.0
+    eps = float(np.finfo(float).eps)
+    step = eps ** (1.0 / 3.0)
+    roundoff = eps / (step * np.maximum(1.0, np.abs(z)))  # entry i's, per unit |f|
 
-    def row_error(a: np.ndarray, b: np.ndarray) -> float:
-        denom = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-        return float(np.max(np.abs(a - b))) / denom
+    def worst_row(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> float:
+        """Worst over rows of the row's discrepancy beyond roundoff, relative to the row's magnitude."""
+        scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=1), np.max(np.abs(b), axis=1)))
+        excess = np.maximum(np.abs(a - b) - np.multiply.outer(np.abs(values), roundoff), 0.0)
+        return float(np.max(np.max(excess, axis=1) / scale, initial=0.0))
 
-    g_analytic = np.asarray(problem.objective_grad(z), dtype=float)
+    f = float(problem.objective(z))
     g_fd = _central_diff(problem.objective, z, step)
-    worst = row_error(g_analytic, g_fd) if z.size else 0.0
+    worst = worst_row(np.asarray(problem.objective_grad(z), dtype=float)[None], g_fd[None], np.array([f]))
 
     if problem.constraints is not None:
         if problem.constraints_jac is None:
             raise ValueError("check_gradient requires an analytic constraint jacobian")
-        j_analytic = np.asarray(problem.constraints_jac(z), dtype=float)
+        c = np.asarray(problem.constraints(z), dtype=float)
         j_fd = _central_diff(problem.constraints, z, step)
-        for row_a, row_b in zip(j_analytic, j_fd):
-            worst = max(worst, row_error(row_a, row_b))
-        w = np.random.default_rng(0).uniform(1.0, 2.0, size=j_fd.shape[0])
+        worst = max(worst, worst_row(np.asarray(problem.constraints_jac(z), dtype=float), j_fd, c))
+        w = np.random.default_rng(0).uniform(1.0, 2.0, size=c.size)
         jtw = np.asarray(problem.constraints_weighted_grad(z, w), dtype=float)
-        worst = max(worst, row_error(jtw, j_fd.T @ w))
+        worst = max(worst, worst_row(jtw[None], (j_fd.T @ w)[None], np.array([w @ np.abs(c)])))
     return worst

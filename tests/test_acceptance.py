@@ -25,7 +25,6 @@ from intentmpc import (
     Pose,
     ScenarioSpec,
     TreeShape,
-    branch_index,
     build_problem,
     build_scenario_tree,
     check_gradient,
@@ -42,6 +41,7 @@ from intentmpc.scenario_io import dump_json, load_scenario, summary_doc, trace_t
 from intentmpc.sim import intruder_plan
 from intentmpc.solver import NlpProblem, SolverConfig
 from oracle_dubins import oracle_shortest_lengths
+from oracle_dynamics import branch_index
 from test_solver import circle_constrained_linear, clipped_quadratic, rosenbrock
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

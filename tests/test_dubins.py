@@ -12,8 +12,8 @@ from intentmpc import (
     sample_pose,
     shortest_path,
     solve_word,
-    wrap_angle,
 )
+from intentmpc.mpc import wrap_angles
 from oracle_dubins import oracle_shortest_lengths, oracle_word
 
 RADIUS_INTRUDER = 142.857  # 10 m/s at 0.07 rad/s
@@ -138,7 +138,7 @@ class TestSamplePose:
             assert (at_start.x, at_start.y, at_start.heading) == (s[0], s[1], s[2])
             at_end = sample_pose(path, path.total_length)
             assert math.hypot(at_end.x - g[0], at_end.y - g[1]) < 1e-6
-            assert abs(wrap_angle(at_end.heading - g[2])) < 1e-8
+            assert abs(wrap_angles(np.array([at_end.heading - g[2]]))[0]) < 1e-8
 
     def test_straight_midpoint(self):
         path = solve_word(Pose(0, 0, 0), Pose(200, 0, 0), 100.0, DubinsWord.LSL)

@@ -17,15 +17,14 @@ from intentmpc import (
     ControlSchedule,
     Pose,
     TreeShape,
-    branch_index,
     branch_table,
     build_scenario_tree,
     control_schedule,
-    rollout,
     sample_pose,
     shortest_path,
     step,
 )
+from oracle_dynamics import branch_index, rollout
 
 INTRUDER_BOUNDS = ControlBounds(v_min=10.0, v_max=10.0, u_min=-0.07, u_max=0.07)
 

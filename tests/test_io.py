@@ -4,14 +4,15 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intentmpc import Disturbance, MpcConfig, MpcMode, Pose, ScenarioSpec, run_closed_loop, run_monte_carlo
+from intentmpc import Disturbance, MpcConfig, MpcMode, Pose, ScenarioSpec, run_closed_loop, run_monte_carlo, separation
 from intentmpc import cli
 from intentmpc.cli import main
 from intentmpc.plots import (
@@ -28,7 +29,6 @@ from intentmpc.scenario_io import (
     ScenarioError,
     dump_json,
     load_scenario,
-    metrics_from_csv,
     parse_scenario,
     report_doc,
     summary_doc,
@@ -171,6 +171,38 @@ class TestScenarioParsing:
         doc["disturbance"] = {"kind": "uniform", "lo_deg_s": -0.5, "hi_deg_s": 0.5}
         spec = parse_scenario(doc)
         assert spec.disturbance.lo == pytest.approx(-0.5 * math.pi / 180.0)
+
+
+@dataclass(frozen=True)
+class CsvMetrics:
+    min_separation: float
+    min_separation_time: int
+    path_length: float
+    violation_stages: int
+
+
+def metrics_from_csv(text: str, rho: float, dt: float = 1.0) -> CsvMetrics:
+    """Recompute the pose-derived metrics from an exported trace."""
+    rows = text.strip().split("\n")
+    if rows[0] != CSV_HEADER:
+        raise ValueError("unexpected CSV header")
+    seps = []
+    ts = []
+    speed_sum = 0.0
+    for row in rows[1:]:
+        cells = row.split(",")
+        own = Pose(float(cells[1]), float(cells[2]), float(cells[3]))
+        intr = Pose(float(cells[4]), float(cells[5]), float(cells[6]))
+        seps.append(separation(own, intr))
+        ts.append(int(cells[0]))
+        speed_sum += float(cells[7])
+    idx = int(np.argmin(seps))
+    return CsvMetrics(
+        min_separation=seps[idx],
+        min_separation_time=ts[idx],
+        path_length=dt * speed_sum,
+        violation_stages=sum(1 for s in seps if s < rho),
+    )
 
 
 class TestCsvAndSummaries:

@@ -2,10 +2,11 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intentmpc import (
@@ -18,16 +19,21 @@ from intentmpc import (
     build_problem,
     check_gradient,
     control_schedule,
-    rollout,
     shortest_path,
     solve_step,
 )
-from intentmpc.mpc import DEFAULT_WEIGHTS, cold_start, shift_warm_start, wrap_angles
+from intentmpc.mpc import cold_start, shift_warm_start, wrap_angles
+from intentmpc.scenario_io import load_scenario
+from intentmpc.sim import intruder_plan
 from intentmpc.solver import SolverConfig
+from oracle_dynamics import rollout
 
 OWN_BOUNDS = ControlBounds(v_min=6.0, v_max=9.0, u_min=-0.1, u_max=0.1)
 INTRUDER_BOUNDS = ControlBounds(v_min=10.0, v_max=10.0, u_min=-0.07, u_max=0.07)
 INTRUDER_RADIUS = INTRUDER_BOUNDS.v_max / INTRUDER_BOUNDS.u_max
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# Position-dominant tracking with terminal heading alignment.
+DEFAULT_WEIGHTS = MpcWeights((0.01, 0.01, 0.0), (1.0, 1.0, 10.0), 100.0)
 
 
 def config(mode=MpcMode.SCENARIO_TREE, horizon=30, robust_horizon=3, weights=DEFAULT_WEIGHTS):
@@ -103,7 +109,7 @@ class TestBuildProblem:
     def test_unconstrained_has_no_constraints(self):
         cfg = config(mode=MpcMode.UNCONSTRAINED)
         problem, _ = build_problem(Pose(0, 0, 0), Pose(10, 10, 0), 0, crossing_schedule(), cfg)
-        assert problem.constraints is None
+        assert problem.constraints(cold_start(cfg)).size == 0
 
     def test_no_intent_predicts_straight_ray(self):
         cfg = config(mode=MpcMode.NO_INTENT)
@@ -144,10 +150,16 @@ class TestBuildProblem:
 CALLABLES = ("objective", "objective_grad", "constraints", "constraints_weighted_grad", "constraints_jac")
 
 
-def evaluate(problem, tree, name, z):
+def row_count(args):
+    """Constraint rows of the instance build_problem(*args), counted on a
+    separate instance so that no problem under test evaluates an extra z."""
+    problem, _ = build_problem(*args)
+    return problem.constraints(problem.lower).size
+
+
+def evaluate(problem, rows, name, z):
     if name == "constraints_weighted_grad":
-        # Sized from the tree, not by calling constraints at z first.
-        w = np.random.default_rng(1).uniform(0.0, 2.0, tree.trajectories.shape[0] * tree.trajectories.shape[1])
+        w = np.random.default_rng(1).uniform(0.0, 2.0, rows)
         w[::2] = 0.0
         return problem.constraints_weighted_grad(z, w)
     return getattr(problem, name)(z)
@@ -175,7 +187,8 @@ class TestSharedRecord:
     def test_every_call_matches_a_fresh_problem(self, case):
         mode, horizon, pool_size, seed, calls = case
         args = (Pose(100, 20, 0.1), Pose(300, -60, 2.3), 5, crossing_schedule(), config(mode, horizon, min(2, horizon)))
-        problem, tree = build_problem(*args)
+        problem, _ = build_problem(*args)
+        rows = row_count(args)
         rng = np.random.default_rng(seed)
         pool = [rng.uniform(problem.lower, problem.upper) for _ in range(pool_size)]
         toggled = [rng.uniform(problem.lower, problem.upper) for _ in range(pool_size)]
@@ -183,10 +196,8 @@ class TestSharedRecord:
             if flip is not None:
                 z, other = pool[i], toggled[i]
                 z[flip], other[flip] = other[flip], z[flip]
-            if problem.constraints is None and name.startswith("constraints"):
-                continue
             fresh, _ = build_problem(*args)
-            assert np.array_equal(evaluate(problem, tree, name, pool[i]), evaluate(fresh, tree, name, pool[i].copy()))
+            assert np.array_equal(evaluate(problem, rows, name, pool[i]), evaluate(fresh, rows, name, pool[i].copy()))
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(list(MpcMode)), st.integers(1, 12), st.integers(0, 2**32 - 1))
@@ -195,16 +206,16 @@ class TestSharedRecord:
         # hold or scribble on what a callable returns: neither may reach the
         # record or another call's result.
         args = (Pose(100, 20, 0.1), Pose(300, -60, 2.3), 5, crossing_schedule(), config(mode, horizon, min(2, horizon)))
-        problem, tree = build_problem(*args)
-        names = [n for n in CALLABLES[1:] if getattr(problem, n) is not None]
+        problem, _ = build_problem(*args)
+        rows = row_count(args)
         rng = np.random.default_rng(seed)
         z0, z1 = rng.uniform(problem.lower, problem.upper), rng.uniform(problem.lower, problem.upper)
         for z in (z0, z0, z1, z0):
             kept = []
-            for name in names:
+            for name in CALLABLES[1:]:
                 fresh, _ = build_problem(*args)
-                got = evaluate(problem, tree, name, z)
-                assert np.array_equal(got, evaluate(fresh, tree, name, z.copy()))
+                got = evaluate(problem, rows, name, z)
+                assert np.array_equal(got, evaluate(fresh, rows, name, z.copy()))
                 kept.append((got, got.copy()))
             for got, snapshot in kept:
                 assert np.array_equal(got, snapshot)
@@ -212,13 +223,13 @@ class TestSharedRecord:
 
 
 @st.composite
-def encounters(draw):
+def encounters(draw, max_horizon=12):
     """A config (mode, horizon, dt, weights, target), ownship and intruder poses, a step and a seed for z."""
     coord = st.floats(-1500.0, 1500.0)
     angle = st.floats(-math.pi, math.pi)
     pose = st.builds(Pose, coord, coord, angle)
     mode = draw(st.sampled_from(list(MpcMode)))
-    horizon = draw(st.integers(1, 12))
+    horizon = draw(st.integers(1, max_horizon))
     diag = st.tuples(*[st.floats(0.01, 10.0)] * 3)
     weights = MpcWeights(draw(diag), draw(diag), draw(st.floats(0.01, 100.0)))
     cfg = replace(
@@ -254,7 +265,8 @@ class TestPoseByPoseOracle:
         expected += weights.rate_smoothing * sum((z[k + 1] - z[k]) ** 2 for k in range(n - 1))
         assert problem.objective(z) == pytest.approx(expected, rel=1e-9)
 
-        if problem.constraints is None:
+        if cfg.mode is MpcMode.UNCONSTRAINED:
+            assert problem.constraints(z).size == 0
             return
         rho_sq = cfg.min_separation**2
         dist_sq = np.array(
@@ -265,24 +277,116 @@ class TestPoseByPoseOracle:
         assert np.all(error <= 1e-9 * (rho_sq + dist_sq)), error.max()
 
 
-@st.composite
-def controller_encounters(draw):
-    """Random ownship and intruder poses, step, horizon and z seed under the crossing's controller settings."""
-    coord, angle = st.floats(-1500.0, 1500.0), st.floats(-math.pi, math.pi)
-    own, intruder = draw(st.builds(Pose, coord, coord, angle)), draw(st.builds(Pose, coord, coord, angle))
-    horizon = draw(st.integers(1, 30))
-    return own, intruder, draw(st.integers(0, 40)), horizon, draw(st.integers(0, min(3, horizon))), draw(st.integers(0, 2**32 - 1))
-
-
 class TestGradientsOnRandomEncounters:
     @pytest.mark.parametrize("mode", list(MpcMode), ids=lambda m: m.value)
     @settings(max_examples=25, deadline=None)
-    @given(controller_encounters())
+    @given(encounters(max_horizon=30))
     def test_check_gradient_passes(self, mode, case):
-        own, intruder, t, horizon, robust_horizon, seed = case
-        problem, _ = build_problem(own, intruder, t, crossing_schedule(), config(mode, horizon, robust_horizon))
+        cfg, own, intruder, t, seed = case
+        problem, _ = build_problem(own, intruder, t, crossing_schedule(), replace(cfg, mode=mode))
         z = np.random.default_rng(seed).uniform(problem.lower, problem.upper)
         assert check_gradient(problem, z) <= 1e-5
+
+
+EPS = float(np.finfo(float).eps)
+FD_STEP = EPS ** (1.0 / 3.0)  # check_gradient's step per max(1, |z_i|)
+
+
+def with_error(problem, name, row, entry):
+    """The problem with the output of `name` off in one entry (row `row` of
+    the Jacobian) by 1e-4 of that gradient's magnitude, floored at 1."""
+    fn = getattr(problem, name)
+
+    def wrong(z, *w):
+        out = np.array(fn(z, *w), dtype=float)
+        grad = out[row] if out.ndim == 2 else out
+        grad[entry] += 1e-4 * max(1.0, float(np.max(np.abs(grad))))
+        return out
+
+    return replace(problem, **{name: wrong})
+
+
+def unresolved(values, grads, z):
+    """Per function and entry, whether the FD roundoff check_gradient forgives,
+    eps * |f| / h_i, exceeds 4e-5 of the gradient's magnitude: there a 1e-4
+    error can hide in roundoff, since no central difference at that step resolves it."""
+    scale = np.maximum(1.0, np.max(np.abs(grads), axis=1))
+    allowance = np.multiply.outer(np.abs(values), EPS / (FD_STEP * np.maximum(1.0, np.abs(z))))
+    return allowance > 4e-5 * scale[:, None]
+
+
+class TestCheckGradientResolution:
+    """check_gradient forgives the FD roundoff of a large function, and still
+    flags a 1e-4 error in one entry wherever the FD resolves it."""
+
+    def test_small_gradient_of_a_large_objective_passes(self):
+        # Horizon 1, target far off the heading: f is about 2.5e6 and its
+        # gradient about 1, so the central difference's roundoff, about
+        # eps^(2/3) * |f| = 9e-5, is more than 1e-5 of the gradient.
+        weights = MpcWeights((1.8, 9.5, 1.4), (1.7, 9.2, 3.2), 1.0)
+        cfg = replace(config(MpcMode.SCENARIO_TREE, 1, 1), dt=0.109, weights=weights, target=Pose(0, -122, -1.32))
+        problem, _ = build_problem(Pose(2, 241, 0), Pose(0, 0, 0), 0, crossing_schedule(), cfg)
+        z = cold_start(cfg)
+        g = problem.objective_grad(z)
+        h = FD_STEP * np.maximum(1.0, np.abs(z))
+        fd = [(problem.objective(z + hi * e) - problem.objective(z - hi * e)) / (2.0 * hi) for hi, e in zip(h, np.eye(2))]
+        assert np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(g))) > 1e-5  # the discrepancy is roundoff
+        assert check_gradient(problem, z) <= 1e-5
+
+    def test_error_in_any_entry_is_flagged_on_the_crossing(self):
+        spec = load_scenario(SCENARIOS / "reference_crossing.json")
+        problem, _ = build_problem(spec.own_start, spec.intruder_start, 0, intruder_plan(spec)[1], spec.mpc)
+        z = np.random.default_rng(99).uniform(problem.lower, problem.upper)
+        assert check_gradient(problem, z) <= 1e-5
+        # Every entry of the objective's and every row's gradient is resolved here.
+        jac = problem.constraints_jac(z)
+        assert not unresolved([problem.objective(z)], [problem.objective_grad(z)], z).any()
+        assert not unresolved(problem.constraints(z), jac, z).any()
+        rows, n = jac.shape
+        for entry in range(n):
+            assert check_gradient(with_error(problem, "objective_grad", 0, entry), z) > 1e-5
+            assert check_gradient(with_error(problem, "constraints_weighted_grad", 0, entry), z) > 1e-5
+        for row in range(0, rows, 28):  # 30 rows spread over the scenarios and stages
+            entry = row % n
+            assert check_gradient(with_error(problem, "constraints_jac", row, entry), z) > 1e-5
+
+    @settings(max_examples=60, deadline=None)
+    @given(encounters(), st.sampled_from(["objective_grad", "constraints_jac"]), st.data())
+    def test_error_in_any_resolved_entry_is_flagged(self, case, name, data):
+        cfg, own, intruder, t, seed = case
+        problem, _ = build_problem(own, intruder, t, crossing_schedule(), cfg)
+        z = np.random.default_rng(seed).uniform(problem.lower, problem.upper)
+        if name == "objective_grad":
+            values, grads = [problem.objective(z)], [problem.objective_grad(z)]
+        else:
+            values, grads = problem.constraints(z), problem.constraints_jac(z)
+        assume(len(values) > 0)  # unconstrained: no row
+        row = data.draw(st.integers(0, len(values) - 1))
+        entry = data.draw(st.integers(0, z.size - 1))
+        assume(not unresolved(values, grads, z)[row, entry])
+        assert check_gradient(with_error(problem, name, row, entry), z) > 1e-5
+
+
+class TestModesShareTheTranscription:
+    @settings(max_examples=40, deadline=None)
+    @given(encounters())
+    def test_unconstrained_is_classic_without_rows(self, case):
+        cfg, own, intruder, t, seed = case
+        free, _ = build_problem(own, intruder, t, crossing_schedule(), replace(cfg, mode=MpcMode.UNCONSTRAINED))
+        classic, _ = build_problem(own, intruder, t, crossing_schedule(), replace(cfg, mode=MpcMode.CLASSIC))
+        z = np.random.default_rng(seed).uniform(free.lower, free.upper)
+        assert free.constraints(z).shape == (0,)
+        assert free.objective(z) == classic.objective(z)
+        assert free.objective_grad(z).tobytes() == classic.objective_grad(z).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(encounters())
+    def test_tree_without_robust_stages_is_classic(self, case):
+        cfg, own, intruder, t, seed = case
+        tree, _ = build_problem(own, intruder, t, crossing_schedule(), replace(cfg, mode=MpcMode.SCENARIO_TREE, robust_horizon=0))
+        classic, _ = build_problem(own, intruder, t, crossing_schedule(), replace(cfg, mode=MpcMode.CLASSIC))
+        z = np.random.default_rng(seed).uniform(tree.lower, tree.upper)
+        assert tree.constraints(z).tobytes() == classic.constraints(z).tobytes()
 
 
 class TestSolveStep:
@@ -336,7 +440,7 @@ class TestSolveStep:
         tree_sol = solve_step(own, intr, 12, sched, config())
         classic_cfg = config(mode=MpcMode.CLASSIC)
         classic_problem, _ = build_problem(own, intr, 12, sched, classic_cfg)
-        violations = classic_problem.constraints(tree_sol.controls)
+        violations = classic_problem.constraints(tree_sol.solver.z_star)
         assert float(np.max(violations)) <= 1e-3
         classic_sol = solve_step(own, intr, 12, sched, classic_cfg)
         classic_cost, tree_cost = classic_sol.solver.objective_value, tree_sol.solver.objective_value

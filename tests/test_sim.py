@@ -213,8 +213,6 @@ class TestMetrics:
                 solver_status="converged",
                 solve_seconds=0.0,
                 inner_iters=1,
-                outer_iters=1,
-                flagged=False,
             )
             for k in range(len(poses_own))
         ]
@@ -225,8 +223,6 @@ class TestMetrics:
             intruder_final=poses_intr[-1],
             arrived=False,
             terminal_status="max_steps",
-            intent_path=None,  # type: ignore[arg-type]
-            intent_schedule=None,  # type: ignore[arg-type]
         )
 
     def test_two_step_path_length(self):
@@ -283,7 +279,7 @@ class TestMonteCarlo:
         deg = math.pi / 180.0
         spec = conflict_spec(disturbance=Disturbance("uniform", -0.5 * deg, 0.5 * deg))
         report = run_monte_carlo(spec, runs=3)
-        assert [o.seed for o in report.runs] == [spec.rng_seed, spec.rng_seed + 1, spec.rng_seed + 2]
+        assert [o.trace.spec.rng_seed for o in report.runs] == [spec.rng_seed, spec.rng_seed + 1, spec.rng_seed + 2]
         third = run_closed_loop(replace(spec, rng_seed=spec.rng_seed + 2))
         assert metrics(report.runs[2].trace) == metrics(third)
 

@@ -65,3 +65,13 @@ def test_traced_solve_without_an_inner_solve(monkeypatch):
     assert {"mpc.objective", "mpc.objective_grad", "mpc.constraints", "solver.solve"} <= names
     assert tracer.counters["solver.inner_iters"] == 0
     assert tracer.counters["solver.status.converged"] == 1
+
+
+def test_traced_unconstrained_problem_has_zero_rows(monkeypatch):
+    # Unconstrained is zero separation rows, not a missing callable: the
+    # tracer wraps `constraints` as in every mode and counts no row.
+    tracer = traced_solve_step(monkeypatch, config(MpcMode.UNCONSTRAINED, horizon=10))
+    names = {span[0] for span in tracer.spans}
+    assert {"mpc.objective", "mpc.objective_grad", "mpc.constraints", "solver.solve"} <= names
+    assert tracer.counters["mpc.problems"] == 1
+    assert tracer.counters["mpc.constraint_rows"] == 0
