@@ -107,16 +107,12 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_dubins(args) -> int:
-    if args.radius <= 0:
-        print("radius must be positive", file=sys.stderr)
+    try:
+        path = shortest_path(Pose(*args.start), Pose(*args.goal), args.radius)
+        schedule = control_schedule(path, args.speed, args.dt)
+    except ValueError as err:
+        print(f"invalid arguments: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.speed <= 0 or args.dt <= 0:
-        print("speed and dt must be positive", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    start = Pose(*args.start)
-    goal = Pose(*args.goal)
-    path = shortest_path(start, goal, args.radius)
-    schedule = control_schedule(path, args.speed, args.dt)
     # Full-precision floats so the output round-trips exactly.
     print(f"word,{path.word.name}")
     print(f"seg_lengths,{path.seg_lengths[0]!r},{path.seg_lengths[1]!r},{path.seg_lengths[2]!r}")

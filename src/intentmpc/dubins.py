@@ -72,15 +72,14 @@ class DubinsPath:
 
 @dataclass(frozen=True)
 class ControlSchedule:
-    """Per-step angular rates realizing a path at constant speed.
+    """Per-step angular rates realizing a path at the speed and dt it was
+    discretized with (`control_schedule`).
 
     Rate k is the average turn rate over [k*dt, (k+1)*dt), so integrating the
     schedule reproduces the continuous-path heading exactly at step
     boundaries.  Indices past the end of the path read as zero (fly straight).
     """
 
-    speed: float
-    dt: float
     angular_rates: tuple[float, ...]
 
     @property
@@ -186,8 +185,8 @@ def _solve_ccc(start: Pose, goal: Pose, radius: float, word: DubinsWord) -> tupl
 
 def solve_word(start: Pose, goal: Pose, turn_radius: float, word: DubinsWord) -> DubinsPath | None:
     """Solve one word exactly; None when it is geometrically infeasible."""
-    if not turn_radius > 0.0:
-        raise ValueError(f"turn radius must be positive, got {turn_radius}")
+    if not (math.isfinite(turn_radius) and turn_radius > 0.0):
+        raise ValueError(f"turn radius must be finite and positive, got {turn_radius}")
     if word.segments[1] == "S":
         sol = _solve_csc(start, goal, turn_radius, word)
         if sol is None:
@@ -233,10 +232,10 @@ def sample_pose(path: DubinsPath, arclength: float) -> Pose:
 
 def control_schedule(path: DubinsPath, speed: float, dt: float) -> ControlSchedule:
     """Discretize a path into time-averaged angular rates per step."""
-    if not speed > 0.0:
-        raise ValueError(f"speed must be positive, got {speed}")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(speed) and speed > 0.0):
+        raise ValueError(f"speed must be finite and positive, got {speed}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     total = path.total_length
     step_len = speed * dt
     steps = max(int(math.ceil(total / step_len - 1e-12)), 0)
@@ -247,4 +246,4 @@ def control_schedule(path: DubinsPath, speed: float, dt: float) -> ControlSchedu
         h_next = sample_pose(path, s_next).heading
         rates.append((h_next - h_prev) / dt)
         h_prev = h_next
-    return ControlSchedule(speed=speed, dt=dt, angular_rates=tuple(rates))
+    return ControlSchedule(angular_rates=tuple(rates))

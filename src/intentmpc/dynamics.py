@@ -4,7 +4,7 @@ The plant is the forward-Euler unicycle: position advances along the current
 heading, heading advances by the angular rate.  Intruder uncertainty is
 enumerated as a tree of control sequences branching over
 {upper rate, lower rate, nominal rate} for the first few stages (the robust
-horizon) and following the nominal schedule afterwards.
+horizon) and following the nominal rates, which `mpc` picks per mode, after.
 
 `step` advances one pose; `build_scenario_tree` integrates every scenario
 at once as cumulative sums over arrays, by the same floating-point
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dubins import ControlSchedule, Pose
+from .dubins import Pose
 
 BRANCH_UPPER = 0
 BRANCH_LOWER = 1
@@ -61,32 +61,11 @@ class ControlBounds:
         )
 
 
-@dataclass(frozen=True)
-class TreeShape:
-    """Branching layout: each of the first `robust_horizon` of `horizon`
-    stages branches over the three intruder rates, so the tree has
-    3**robust_horizon scenarios."""
-
-    robust_horizon: int
-    horizon: int
-
-    def __post_init__(self) -> None:
-        # robust_horizon == 0 is the degenerate single-scenario (nominal) tree.
-        if not 0 <= self.robust_horizon <= self.horizon:
-            raise ValueError(
-                f"need 0 <= robust_horizon <= horizon, got {self.robust_horizon}, {self.horizon}"
-            )
-
-    @property
-    def scenario_count(self) -> int:
-        return BRANCH_COUNT**self.robust_horizon
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioTree:
     """All intruder control sequences and their predicted trajectories, as arrays.
 
-    With M = shape.scenario_count and N = shape.horizon:
+    With M = 3**robust_horizon (0 in unconstrained mode) and N the horizon:
 
     * `rates` (M, N): angular rate of scenario j-1 at stage k;
     * `trajectories` (M, N+1, 3): (x, y, heading) of scenario j-1 at stage
@@ -100,7 +79,6 @@ class ScenarioTree:
     non-anticipativity holds by construction.
     """
 
-    shape: TreeShape
     rates: np.ndarray
     trajectories: np.ndarray
     speed: float
@@ -117,16 +95,16 @@ def step(state: Pose, inp: ControlInput, dt: float) -> Pose:
     )
 
 
-def branch_table(shape: TreeShape) -> np.ndarray:
-    """Branches of every scenario at every stage, (M, N) integers.
+def branch_table(robust_horizon: int, horizon: int) -> np.ndarray:
+    """Branches of every scenario at every stage, (3**robust_horizon, horizon) integers.
 
     Row j-1 holds the branch of scenario j at stages k = 0..N-1: the base-3
     digits of j-1, most significant first, then nominal past the robust
     horizon.
     """
-    table = np.full((shape.scenario_count, shape.horizon), BRANCH_NOMINAL)
-    powers = BRANCH_COUNT ** np.arange(shape.robust_horizon - 1, -1, -1)
-    table[:, : shape.robust_horizon] = np.arange(shape.scenario_count)[:, None] // powers % BRANCH_COUNT
+    table = np.full((BRANCH_COUNT**robust_horizon, horizon), BRANCH_NOMINAL)
+    powers = BRANCH_COUNT ** np.arange(robust_horizon - 1, -1, -1)
+    table[:, :robust_horizon] = np.arange(len(table))[:, None] // powers % BRANCH_COUNT
     return table
 
 
@@ -138,30 +116,26 @@ def _accumulate(start: float, increments: np.ndarray) -> np.ndarray:
 
 
 def build_scenario_tree(
-    intruder_now: Pose,
-    nominal_schedule: ControlSchedule,
-    t: int,
-    bounds: ControlBounds,
-    shape: TreeShape,
-    dt: float,
+    intruder_now: Pose, nominal_rates: np.typing.ArrayLike, robust_horizon: int, bounds: ControlBounds, dt: float
 ) -> ScenarioTree:
-    """Enumerate intruder futures rooted at its current pose at step t.
+    """Enumerate intruder futures rooted at its current pose.
 
-    Branches are upper rate / lower rate / nominal-schedule rate; speed is
-    pinned at the intruder's maximum everywhere.
+    The horizon is `len(nominal_rates)`.  Each of the first `robust_horizon`
+    stages branches over upper rate / lower rate / nominal rate, giving
+    3**robust_horizon scenarios; later stages follow the nominal rates.
+    Speed is pinned at the intruder's maximum everywhere.
     """
-    if t < 0:
-        raise ValueError(f"absolute time must be >= 0, got {t}")
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if shape.horizon == 0:
+    nominal = np.asarray(nominal_rates, dtype=float)
+    if nominal.ndim != 1 or len(nominal) == 0:
         raise ValueError("a scenario tree needs a horizon of at least one step")
-
-    n = shape.horizon
-    nominal = np.array([nominal_schedule.rate_at(t + k) for k in range(n)])
-    rates = np.choose(branch_table(shape), (bounds.u_max, bounds.u_min, nominal))
+    n = len(nominal)
+    if not 0 <= robust_horizon <= n:
+        raise ValueError(f"need 0 <= robust_horizon <= horizon, got {robust_horizon}, {n}")
+    rates = np.choose(branch_table(robust_horizon, n), (bounds.u_max, bounds.u_min, nominal))
     if not np.isfinite(rates).all():
-        raise ValueError("intruder rates must be finite; check the schedule and bounds")
+        raise ValueError("intruder rates must be finite; check the nominal rates and bounds")
 
     heading = _accumulate(intruder_now.heading, dt * rates)
     reach = dt * bounds.v_max  # step's operation order: (dt * v) * cos(heading)
@@ -172,7 +146,7 @@ def build_scenario_tree(
         raise ValueError("scenario tree states must be finite")
     rates.flags.writeable = False
     trajectories.flags.writeable = False
-    return ScenarioTree(shape=shape, rates=rates, trajectories=trajectories, speed=bounds.v_max)
+    return ScenarioTree(rates=rates, trajectories=trajectories, speed=bounds.v_max)
 
 
 def separation(a: Pose, b: Pose) -> float:

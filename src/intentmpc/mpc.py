@@ -4,13 +4,13 @@ The ownship's controls over the horizon are the only decision variables
 (single shooting): states are eliminated by rolling the Euler model forward,
 so the NLP has box bounds on controls plus one separation inequality per
 intruder scenario and stage.  Four controller modes share the transcription
-and differ only in how the intruder is predicted:
+and differ only in how the intruder is predicted, all in `_prediction_tree`:
 
 * scenario-tree: branch over {upper, lower, nominal} intruder rates for the
   robust horizon (the robust controller);
 * classic: single nominal-schedule prediction;
 * no-intent: single straight-line prediction (nominal rates zeroed);
-* unconstrained: zero separation rows (nominal-path baseline).
+* unconstrained: no scenario, so no separation row (nominal-path baseline).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dubins import ControlSchedule, Pose
-from .dynamics import ControlBounds, ControlInput, ScenarioTree, TreeShape, build_scenario_tree
+from .dynamics import ControlBounds, ControlInput, ScenarioTree, build_scenario_tree
 from .solver import NlpProblem, SolverConfig, SolverResult, solve
 
 TWO_PI = 2.0 * math.pi
@@ -140,10 +140,8 @@ class _SingleShooting:
         # of the rate gradient's terms: dt*ss1, (-dt*dt)*(x term), dt*dt*(y term).
         self.stage_weights = np.array((config.weights.state_weight, config.weights.terminal_weight)).T.repeat((self.n, 1), axis=1)
         self.gu_scale = np.array([[self.dt], [-self.dt * self.dt], [self.dt * self.dt]])
-        # Intruder (x, y) per scenario and stage, one (2, M, N+1) block;
-        # unconstrained takes no scenario, so it has zero separation rows.
-        scenarios = tree.trajectories[:0] if config.mode is MpcMode.UNCONSTRAINED else tree.trajectories
-        self.intr = scenarios[..., :2].transpose(2, 0, 1).copy()
+        # Intruder (x, y) per scenario and stage, one (2, M, N+1) block.
+        self.intr = tree.trajectories[..., :2].transpose(2, 0, 1).copy()
         self.rho_sq = config.min_separation**2
         self._key: bytes | None = None
         self._rec: _Rollout | None = None
@@ -246,18 +244,13 @@ class _SingleShooting:
 
 
 def _prediction_tree(intruder_now: Pose, t: int, intent_schedule: ControlSchedule, config: MpcConfig) -> ScenarioTree:
-    if config.mode is MpcMode.SCENARIO_TREE:
-        shape = TreeShape(robust_horizon=config.robust_horizon, horizon=config.horizon)
-        schedule = intent_schedule
-    else:
-        # Single-scenario prediction; no-intent replaces the schedule with an
-        # empty one, which reads as all-zero rates (straight-line intruder).
-        shape = TreeShape(robust_horizon=0, horizon=config.horizon)
-        if config.mode is MpcMode.NO_INTENT:
-            schedule = ControlSchedule(speed=intent_schedule.speed, dt=intent_schedule.dt, angular_rates=())
-        else:
-            schedule = intent_schedule
-    return build_scenario_tree(intruder_now, schedule, t, config.intruder_bounds, shape, config.dt)
+    """The intruder prediction of the configured mode, from absolute step t."""
+    n = config.horizon
+    if config.mode is MpcMode.UNCONSTRAINED:
+        return ScenarioTree(rates=np.empty((0, n)), trajectories=np.empty((0, n + 1, 3)), speed=config.intruder_bounds.v_max)
+    nominal = np.zeros(n) if config.mode is MpcMode.NO_INTENT else [intent_schedule.rate_at(t + k) for k in range(n)]
+    robust_horizon = config.robust_horizon if config.mode is MpcMode.SCENARIO_TREE else 0
+    return build_scenario_tree(intruder_now, nominal, robust_horizon, config.intruder_bounds, config.dt)
 
 
 def build_problem(

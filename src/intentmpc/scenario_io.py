@@ -16,7 +16,6 @@ from .dubins import Pose
 from .dynamics import ControlBounds
 from .mpc import MpcConfig, MpcMode, MpcWeights
 from .sim import (
-    DISTURBANCE_NONE,
     DISTURBANCE_UNIFORM,
     Disturbance,
     MonteCarloReport,
@@ -31,8 +30,20 @@ DEG = math.pi / 180.0
 CSV_HEADER = "t,own_x,own_y,own_heading,intr_x,intr_y,intr_heading,v,u,separation,solver_status,solve_ms"
 
 MODES = {m.value: m for m in MpcMode}
-# MpcConfig fields read from one scenario key, for naming it in errors.
-_MPC_KEYS = {"horizon": "mpc.N", "robust_horizon": "mpc.N_r", "min_separation": "mpc.rho"}
+# The scenario key each checked field is read from.  The constructors' value
+# errors start with the field's name, which this table turns into the key.
+_FIELD_KEYS = {
+    "horizon": "mpc.N",
+    "robust_horizon": "mpc.N_r",
+    "min_separation": "mpc.rho",
+    "state_weight": "mpc.Q",
+    "terminal_weight": "mpc.Qf",
+    "rate_smoothing": "mpc.R",
+    "kind": "disturbance.kind",
+    "lo": "disturbance.lo_deg_s",
+    "max_steps": "sim.max_steps",
+    "target_radius": "sim.target_radius",
+}
 
 # Every scenario runs at dt = 1 s.  Receding-horizon solves need
 # feasibility, not tight stationarity: the optimality tolerance is loosened
@@ -93,14 +104,19 @@ def _triple(doc, path: str) -> tuple[float, float, float]:
     return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(doc))  # type: ignore[return-value]
 
 
+def _build(cls, path: str, **fields):
+    """cls(**fields); a ValueError becomes a ScenarioError at the key of the field it names, or at `path`."""
+    try:
+        return cls(**fields)
+    except ValueError as err:
+        raise ScenarioError(_FIELD_KEYS.get(str(err).split(" ", 1)[0], path), str(err)) from err
+
+
 def _bounds(doc, path: str) -> ControlBounds:
     _require_keys(doc, path, ("v", "u"))
     v = _pair(doc["v"], f"{path}.v")
     u = _pair(doc["u"], f"{path}.u")
-    try:
-        return ControlBounds(v_min=v[0], v_max=v[1], u_min=u[0], u_max=u[1])
-    except ValueError as err:
-        raise ScenarioError(path, str(err)) from err
+    return _build(ControlBounds, path, v_min=v[0], v_max=v[1], u_min=u[0], u_max=u[1])
 
 
 def _aircraft(doc, path: str) -> tuple[Pose, Pose, ControlBounds]:
@@ -127,63 +143,44 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
     mode_name = mpc["mode"]
     if not isinstance(mode_name, str) or mode_name not in MODES:
         raise ScenarioError("mpc.mode", f"expected one of {sorted(MODES)}, got {mode_name!r}")
-    try:
-        config = MpcConfig(
-            horizon=n,
-            robust_horizon=n_r,
-            dt=1.0,
-            min_separation=rho,
-            weights=MpcWeights(q, qf, r),
-            own_bounds=own_bounds,
-            intruder_bounds=intr_bounds,
-            mode=MODES[mode_name],
-            target=own_target,
-            solver=CLOSED_LOOP_SOLVER,
-        )
-    except ValueError as err:
-        # MpcConfig's messages start with the offending field's name.
-        field = str(err).split(" ", 1)[0]
-        raise ScenarioError(_MPC_KEYS.get(field, "mpc"), str(err)) from err
+    config = _build(
+        MpcConfig,
+        "mpc",
+        horizon=n,
+        robust_horizon=n_r,
+        dt=1.0,
+        min_separation=rho,
+        weights=_build(MpcWeights, "mpc", state_weight=q, terminal_weight=qf, rate_smoothing=r),
+        own_bounds=own_bounds,
+        intruder_bounds=intr_bounds,
+        mode=MODES[mode_name],
+        target=own_target,
+        solver=CLOSED_LOOP_SOLVER,
+    )
 
     dist = doc["disturbance"]
     _require_keys(dist, "disturbance", ("kind",), ("lo_deg_s", "hi_deg_s"))
-    kind = dist["kind"]
-    if kind not in (DISTURBANCE_NONE, DISTURBANCE_UNIFORM):
-        raise ScenarioError("disturbance.kind", f"expected 'none' or 'uniform', got {kind!r}")
-    if kind == DISTURBANCE_UNIFORM:
+    limits = {}
+    if dist["kind"] == DISTURBANCE_UNIFORM:
         if "lo_deg_s" not in dist or "hi_deg_s" not in dist:
             raise ScenarioError("disturbance", "uniform disturbance needs lo_deg_s and hi_deg_s")
-        lo = _number(dist["lo_deg_s"], "disturbance.lo_deg_s") * DEG
-        hi = _number(dist["hi_deg_s"], "disturbance.hi_deg_s") * DEG
-        if lo > hi:
-            raise ScenarioError("disturbance.lo_deg_s", "lo_deg_s must not exceed hi_deg_s")
-        disturbance = Disturbance(kind=kind, lo=lo, hi=hi)
-    else:
-        disturbance = Disturbance()
+        limits = {bound: _number(dist[f"{bound}_deg_s"], f"disturbance.{bound}_deg_s") * DEG for bound in ("lo", "hi")}
+    disturbance = _build(Disturbance, "disturbance", kind=dist["kind"], **limits)
 
     sim = doc["sim"]
     _require_keys(sim, "sim", ("max_steps", "target_radius", "seed"))
-    max_steps = _integer(sim["max_steps"], "sim.max_steps")
-    if max_steps < 1:
-        raise ScenarioError("sim.max_steps", "must be >= 1")
-    target_radius = _number(sim["target_radius"], "sim.target_radius")
-    if target_radius <= 0:
-        raise ScenarioError("sim.target_radius", "must be positive")
-    seed = _integer(sim["seed"], "sim.seed")
-
-    try:
-        return ScenarioSpec(
-            own_start=own_start,
-            target_radius=target_radius,
-            intruder_start=intr_start,
-            intruder_target=intr_target,
-            mpc=config,
-            disturbance=disturbance,
-            max_steps=max_steps,
-            rng_seed=seed,
-        )
-    except ValueError as err:
-        raise ScenarioError("", str(err)) from err
+    return _build(
+        ScenarioSpec,
+        "",
+        max_steps=_integer(sim["max_steps"], "sim.max_steps"),
+        target_radius=_number(sim["target_radius"], "sim.target_radius"),
+        own_start=own_start,
+        intruder_start=intr_start,
+        intruder_target=intr_target,
+        mpc=config,
+        disturbance=disturbance,
+        rng_seed=_integer(sim["seed"], "sim.seed"),
+    )
 
 
 def load_scenario(path) -> ScenarioSpec:

@@ -38,9 +38,9 @@ class Disturbance:
 
     def __post_init__(self) -> None:
         if self.kind not in (DISTURBANCE_NONE, DISTURBANCE_UNIFORM):
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
+            raise ValueError(f"kind must be {DISTURBANCE_NONE!r} or {DISTURBANCE_UNIFORM!r}, got {self.kind!r}")
         if self.kind == DISTURBANCE_UNIFORM and not self.lo <= self.hi:
-            raise ValueError(f"need lo <= hi, got [{self.lo}, {self.hi}]")
+            raise ValueError(f"lo must not exceed hi, got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from intentmpc import BRANCH_NOMINAL, ControlInput, Pose, TreeShape, step
+from intentmpc import BRANCH_NOMINAL, ControlInput, Pose, step
 from intentmpc.dynamics import BRANCH_COUNT
 
 
@@ -23,16 +23,18 @@ def rollout(initial: Pose, inputs: list[ControlInput] | tuple[ControlInput, ...]
     return tuple(poses)
 
 
-def branch_index(j: int, k: int, shape: TreeShape) -> int:
-    """Branch taken by scenario j (1-based) at stage k.
+def branch_index(j: int, k: int, robust_horizon: int, horizon: int) -> int:
+    """Branch taken by scenario j (1-based) at stage k of a tree whose first
+    `robust_horizon` of `horizon` stages branch.
 
     Over the robust horizon this is digit k of j-1 in base 3, most significant
     first; afterwards every scenario follows the nominal branch.
     """
-    if not 1 <= j <= shape.scenario_count:
-        raise ValueError(f"scenario id {j} outside 1..{shape.scenario_count}")
-    if not 0 <= k < shape.horizon:
-        raise ValueError(f"stage {k} outside 0..{shape.horizon - 1}")
-    if k >= shape.robust_horizon:
+    count = BRANCH_COUNT**robust_horizon
+    if not 1 <= j <= count:
+        raise ValueError(f"scenario id {j} outside 1..{count}")
+    if not 0 <= k < horizon:
+        raise ValueError(f"stage {k} outside 0..{horizon - 1}")
+    if k >= robust_horizon:
         return BRANCH_NOMINAL
-    return (math.ceil(j / BRANCH_COUNT ** (shape.robust_horizon - 1 - k)) - 1) % BRANCH_COUNT
+    return (math.ceil(j / BRANCH_COUNT ** (robust_horizon - 1 - k)) - 1) % BRANCH_COUNT

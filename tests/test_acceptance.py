@@ -18,13 +18,10 @@ import pytest
 
 from intentmpc import (
     ControlBounds,
-    ControlInput,
     Disturbance,
-    DubinsWord,
     MpcMode,
     Pose,
     ScenarioSpec,
-    TreeShape,
     build_problem,
     build_scenario_tree,
     check_gradient,
@@ -34,12 +31,11 @@ from intentmpc import (
     run_monte_carlo,
     shortest_path,
     solve,
-    solve_step,
     step,
 )
 from intentmpc.scenario_io import dump_json, load_scenario, summary_doc, trace_to_csv
 from intentmpc.sim import intruder_plan
-from intentmpc.solver import NlpProblem, SolverConfig
+from intentmpc.solver import SolverConfig
 from oracle_dubins import oracle_shortest_lengths
 from oracle_dynamics import branch_index
 from test_solver import circle_constrained_linear, clipped_quadratic, rosenbrock
@@ -148,19 +144,16 @@ def test_criterion_2_scenario_tree_structure():
         schedule = control_schedule(
             shortest_path(Pose(0, 0, 0), Pose(600, 100, 0.4), 10.0 / 0.07), 10.0, 1.0
         )
+        nominal = [schedule.rate_at(2 + k) for k in range(8)]
         for n_r in (1, 2, 3):
-            shape = TreeShape(robust_horizon=n_r, horizon=8)
-            tree = build_scenario_tree(Pose(0, 0, 0), schedule, 2, bounds, shape, 1.0)
+            tree = build_scenario_tree(Pose(0, 0, 0), nominal, n_r, bounds, 1.0)
             assert len(tree.trajectories) == 3**n_r
-            tuples = [
-                tuple(branch_index(j, k, shape) for k in range(n_r))
-                for j in range(1, shape.scenario_count + 1)
-            ]
+            tuples = [tuple(branch_index(j, k, n_r, 8) for k in range(n_r)) for j in range(1, 3**n_r + 1)]
             assert sorted(tuples) == sorted(itertools.product((0, 1, 2), repeat=n_r))
-            for a, b in itertools.combinations(range(shape.scenario_count), 2):
+            for a, b in itertools.combinations(range(3**n_r), 2):
                 agree = True
-                for k in range(shape.horizon):
-                    agree = agree and branch_index(a + 1, k, shape) == branch_index(b + 1, k, shape)
+                for k in range(8):
+                    agree = agree and branch_index(a + 1, k, n_r, 8) == branch_index(b + 1, k, n_r, 8)
                     shared = np.array_equal(tree.rates[a, : k + 1], tree.rates[b, : k + 1])
                     assert shared == agree
         elapsed = time.perf_counter() - start

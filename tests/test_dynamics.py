@@ -14,9 +14,7 @@ from intentmpc import (
     BRANCH_UPPER,
     ControlBounds,
     ControlInput,
-    ControlSchedule,
     Pose,
-    TreeShape,
     branch_table,
     build_scenario_tree,
     control_schedule,
@@ -85,46 +83,36 @@ class TestRollout:
 
 class TestBranchIndex:
     def test_first_scenario_all_upper(self):
-        shape = TreeShape(robust_horizon=3, horizon=30)
-        assert [branch_index(1, k, shape) for k in range(3)] == [BRANCH_UPPER] * 3
+        assert [branch_index(1, k, 3, 30) for k in range(3)] == [BRANCH_UPPER] * 3
 
     def test_last_scenario_all_nominal(self):
-        shape = TreeShape(robust_horizon=3, horizon=30)
-        assert [branch_index(27, k, shape) for k in range(3)] == [BRANCH_NOMINAL] * 3
+        assert [branch_index(27, k, 3, 30) for k in range(3)] == [BRANCH_NOMINAL] * 3
 
     def test_beyond_robust_horizon_nominal(self):
-        shape = TreeShape(robust_horizon=3, horizon=30)
         for j in range(1, 28):
-            assert branch_index(j, 5, shape) == BRANCH_NOMINAL
+            assert branch_index(j, 5, 3, 30) == BRANCH_NOMINAL
 
     def test_covers_all_tuples_once(self):
-        shape = TreeShape(robust_horizon=3, horizon=30)
-        tuples = {tuple(branch_index(j, k, shape) for k in range(3)) for j in range(1, 28)}
+        tuples = {tuple(branch_index(j, k, 3, 30) for k in range(3)) for j in range(1, 28)}
         assert tuples == set(itertools.product((0, 1, 2), repeat=3))
 
     def test_range_checks(self):
-        shape = TreeShape(robust_horizon=2, horizon=10)
         with pytest.raises(ValueError):
-            branch_index(0, 0, shape)
+            branch_index(0, 0, 2, 10)
         with pytest.raises(ValueError):
-            branch_index(10, 0, shape)
+            branch_index(10, 0, 2, 10)
         with pytest.raises(ValueError):
-            branch_index(1, 10, shape)
+            branch_index(1, 10, 2, 10)
 
 
 class TestScenarioTree:
-    def _zero_schedule(self):
-        return ControlSchedule(speed=10.0, dt=1.0, angular_rates=(0.0,) * 40)
-
     def test_degenerate_all_nominal(self):
-        shape = TreeShape(robust_horizon=0, horizon=10)
-        tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
+        tree = build_scenario_tree(Pose(0, 0, 0), np.zeros(10), 0, INTRUDER_BOUNDS, 1.0)
         assert tree.rates.shape == (1, 10)
         assert (tree.rates[0] == 0.0).all()
 
     def test_branch_rates_and_straight_scenario(self):
-        shape = TreeShape(robust_horizon=3, horizon=10)
-        tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
+        tree = build_scenario_tree(Pose(0, 0, 0), np.zeros(10), 3, INTRUDER_BOUNDS, 1.0)
         assert len(tree.rates) == 27
         # Scenario 1 turns at the upper rate for 3 steps, then nominal (0).
         rates = tree.rates[0].tolist()
@@ -136,8 +124,7 @@ class TestScenarioTree:
         assert np.array_equal(tree.trajectories[0], [(p.x, p.y, p.heading) for p in expected])
 
     def test_covers_branch_tuples_exactly_once(self):
-        shape = TreeShape(robust_horizon=3, horizon=6)
-        tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
+        tree = build_scenario_tree(Pose(0, 0, 0), np.zeros(6), 3, INTRUDER_BOUNDS, 1.0)
         seen = set()
         for row in tree.rates.tolist():
             key = tuple(row[:3])
@@ -147,40 +134,27 @@ class TestScenarioTree:
 
     def test_prefix_property(self):
         # Controls agree at stage k iff branch tuples agree through stage k.
-        shape = TreeShape(robust_horizon=3, horizon=6)
-        sched = ControlSchedule(speed=10.0, dt=1.0, angular_rates=(0.01, 0.02, 0.03, 0.04, 0.05, 0.06))
-        tree = build_scenario_tree(Pose(0, 0, 0), sched, 0, INTRUDER_BOUNDS, shape, 1.0)
+        nominal = (0.01, 0.02, 0.03, 0.04, 0.05, 0.06)
+        tree = build_scenario_tree(Pose(0, 0, 0), nominal, 3, INTRUDER_BOUNDS, 1.0)
         for a in range(1, 28):
             for b in range(a + 1, 28):
                 agree = True
-                for k in range(shape.horizon):
-                    ba, bb = branch_index(a, k, shape), branch_index(b, k, shape)
-                    agree = agree and ba == bb
+                for k in range(len(nominal)):
+                    agree = agree and branch_index(a, k, 3, 6) == branch_index(b, k, 3, 6)
                     same_controls = np.array_equal(tree.rates[a - 1, : k + 1], tree.rates[b - 1, : k + 1])
                     assert same_controls == agree
 
     def test_tree_sizes(self):
         for n_r in (0, 1, 2, 3):
-            shape = TreeShape(robust_horizon=n_r, horizon=8)
-            tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
+            tree = build_scenario_tree(Pose(0, 0, 0), np.zeros(8), n_r, INTRUDER_BOUNDS, 1.0)
             assert len(tree.trajectories) == 3**n_r
 
     def test_speeds_pinned_at_max(self):
-        shape = TreeShape(robust_horizon=2, horizon=8)
-        tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 3, INTRUDER_BOUNDS, shape, 1.0)
+        tree = build_scenario_tree(Pose(0, 0, 0), np.zeros(8), 2, INTRUDER_BOUNDS, 1.0)
         assert tree.speed == INTRUDER_BOUNDS.v_max
 
-    def test_nominal_indexes_absolute_time(self):
-        sched = ControlSchedule(speed=10.0, dt=1.0, angular_rates=(0.01, 0.02, 0.03))
-        shape = TreeShape(robust_horizon=0, horizon=5)
-        tree = build_scenario_tree(Pose(0, 0, 0), sched, 2, INTRUDER_BOUNDS, shape, 1.0)
-        rates = tree.rates[0].tolist()
-        # Index 2 of the schedule first, then zeros past the end.
-        assert rates == [0.03, 0.0, 0.0, 0.0, 0.0]
-
     def test_length_builds_no_poses(self, monkeypatch):
-        shape = TreeShape(robust_horizon=3, horizon=30)
-        tree = build_scenario_tree(Pose(0, 0, 0), self._zero_schedule(), 0, INTRUDER_BOUNDS, shape, 1.0)
+        tree = build_scenario_tree(Pose(0, 0, 0), np.zeros(30), 3, INTRUDER_BOUNDS, 1.0)
 
         def no_pose(*args):
             raise AssertionError("Pose built")
@@ -190,21 +164,21 @@ class TestScenarioTree:
         assert len(tree.rates) == 27
 
     @pytest.mark.parametrize(
-        "rates, t, shape, dt",
+        "nominal, robust_horizon, dt",
         [
-            ((0.0,) * 10, 0, (2, 5), 0.0),
-            ((0.0,) * 10, 0, (2, 5), -1.0),
-            ((0.0,) * 10, 0, (0, 0), 1.0),
-            ((0.0,) * 10, -1, (2, 5), 1.0),
-            ((0.0, math.nan), 0, (0, 5), 1.0),
-            ((0.0, 0.0, math.inf), 0, (2, 5), 1.0),
+            ((0.0,) * 5, 2, 0.0),
+            ((0.0,) * 5, 2, -1.0),
+            ((), 0, 1.0),
+            ((0.0,) * 5, -1, 1.0),
+            ((0.0,) * 5, 6, 1.0),
+            ((0.0, math.nan, 0.0, 0.0, 0.0), 0, 1.0),
+            ((0.0, 0.0, math.inf, 0.0, 0.0), 2, 1.0),
         ],
-        ids=["dt-zero", "dt-negative", "horizon-zero", "t-negative", "rate-nan", "rate-inf"],
+        ids=["dt-zero", "dt-negative", "horizon-zero", "robust-negative", "robust-past-horizon", "rate-nan", "rate-inf"],
     )
-    def test_rejects_invalid_input(self, rates, t, shape, dt):
-        schedule = ControlSchedule(speed=10.0, dt=1.0, angular_rates=rates)
+    def test_rejects_invalid_input(self, nominal, robust_horizon, dt):
         with pytest.raises(ValueError):
-            build_scenario_tree(Pose(0, 0, 0), schedule, t, INTRUDER_BOUNDS, TreeShape(*shape), dt)
+            build_scenario_tree(Pose(0, 0, 0), nominal, robust_horizon, INTRUDER_BOUNDS, dt)
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -213,17 +187,15 @@ finite = dict(allow_nan=False, allow_infinity=False)
 @st.composite
 def tree_cases(draw):
     horizon = draw(st.integers(1, 40))
-    shape = TreeShape(robust_horizon=draw(st.integers(0, min(4, horizon))), horizon=horizon)
-    t = draw(st.integers(0, 60))
-    # Schedules both end inside the horizon window and run past it.
-    rates = draw(st.lists(st.floats(-0.2, 0.2, **finite), max_size=t + horizon + 10))
+    robust_horizon = draw(st.integers(0, min(4, horizon)))
+    nominal = draw(st.lists(st.floats(-0.2, 0.2, **finite), min_size=horizon, max_size=horizon))
     v_max = draw(st.floats(1.0, 300.0, **finite))
     bounds = ControlBounds(v_max, v_max, draw(st.floats(-0.3, 0.0, **finite)), draw(st.floats(0.0, 0.3, **finite)))
     start = Pose(
         draw(st.floats(-1e4, 1e4, **finite)), draw(st.floats(-1e4, 1e4, **finite)), draw(st.floats(-10, 10, **finite))
     )
     dt = draw(st.floats(0.05, 2.0, **finite))
-    return start, ControlSchedule(v_max, dt, tuple(rates)), t, bounds, shape, dt
+    return start, nominal, robust_horizon, bounds, dt
 
 
 class TestTreeMatchesSequentialReference:
@@ -232,9 +204,9 @@ class TestTreeMatchesSequentialReference:
     @settings(max_examples=80, deadline=None)
     @given(tree_cases())
     def test_states_equal_rollout_bitwise(self, case):
-        start, schedule, t, bounds, shape, dt = case
-        tree = build_scenario_tree(start, schedule, t, bounds, shape, dt)
-        assert tree.trajectories.shape == (shape.scenario_count, shape.horizon + 1, 3)
+        start, nominal, robust_horizon, bounds, dt = case
+        tree = build_scenario_tree(start, nominal, robust_horizon, bounds, dt)
+        assert tree.trajectories.shape == (3**robust_horizon, len(nominal) + 1, 3)
         for j, rates in enumerate(tree.rates.tolist()):
             poses = rollout(start, [ControlInput(tree.speed, u) for u in rates], dt)
             assert np.array_equal(tree.trajectories[j], [(p.x, p.y, p.heading) for p in poses])
@@ -242,12 +214,13 @@ class TestTreeMatchesSequentialReference:
     @settings(max_examples=80, deadline=None)
     @given(tree_cases())
     def test_branch_table_matches_branch_index(self, case):
-        start, schedule, t, bounds, shape, dt = case
-        table = branch_table(shape)
-        tree = build_scenario_tree(start, schedule, t, bounds, shape, dt)
+        start, nominal, robust_horizon, bounds, dt = case
+        horizon = len(nominal)
+        table = branch_table(robust_horizon, horizon)
+        tree = build_scenario_tree(start, nominal, robust_horizon, bounds, dt)
         rate_of = {BRANCH_UPPER: bounds.u_max, BRANCH_LOWER: bounds.u_min}
-        for j in range(1, shape.scenario_count + 1):
-            for k in range(shape.horizon):
-                branch = branch_index(j, k, shape)
+        for j in range(1, 3**robust_horizon + 1):
+            for k in range(horizon):
+                branch = branch_index(j, k, robust_horizon, horizon)
                 assert table[j - 1, k] == branch
-                assert tree.rates[j - 1, k] == rate_of.get(branch, schedule.rate_at(t + k))
+                assert tree.rates[j - 1, k] == rate_of.get(branch, nominal[k])

@@ -34,7 +34,6 @@ from intentmpc.scenario_io import (
     summary_doc,
     trace_to_csv,
 )
-from intentmpc.sim import metrics
 from test_sim import fail_at_step
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -136,10 +135,36 @@ class TestScenarioParsing:
             parse_scenario(quick_doc(**{"mpc.rho": -5.0}))
         assert "mpc.rho" in str(err.value)
 
-    @pytest.mark.parametrize("key, value", [("mpc.N", 0), ("mpc.N_r", 31), ("mpc.Q", [1.0, 2.0])])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mpc.N", 0),
+            ("mpc.N_r", 31),
+            ("mpc.Q", [1.0, 2.0]),
+            ("mpc.Q", [-1.0, 0.0, 0.0]),
+            ("mpc.Qf", [1.0, 0.0, 1.0]),
+            ("mpc.R", 0.0),
+        ],
+    )
     def test_bad_mpc_value_names_path(self, key, value):
         with pytest.raises(ScenarioError) as err:
             parse_scenario(quick_doc(**{key: value}))
+        assert err.value.path == key
+
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            ("sim.max_steps", {"sim.max_steps": 0}),
+            ("sim.target_radius", {"sim.target_radius": 0.0}),
+            ("disturbance.kind", {"disturbance.kind": "gauss"}),
+            ("disturbance.kind", {"disturbance.kind": []}),
+            ("disturbance.lo_deg_s", {"disturbance": {"kind": "uniform", "lo_deg_s": 0.5, "hi_deg_s": -0.5}}),
+        ],
+        ids=["max_steps-zero", "target_radius-zero", "kind-gauss", "kind-list", "lo-above-hi"],
+    )
+    def test_bad_value_names_path(self, key, overrides):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(quick_doc(**overrides))
         assert err.value.path == key
 
     def test_bad_mode_rejected(self):
@@ -362,6 +387,19 @@ class TestCli:
         rates = [float(line.split(",")[1]) for line in lines[4:]]
         assert rates == pytest.approx(list(sched.angular_rates), rel=1e-9)
 
+    @staticmethod
+    def dubins_rejects(capsys, option, value):
+        """`dubins` with one argument replaced exits 2 with a one-line reason, not a traceback."""
+        args = {"--start": ["0", "0", "0"], "--goal": ["1", "0", "0"], "--radius": ["100"], "--speed": ["10"], "--dt": ["1"]}
+        args[option][0] = value
+        assert main(["dubins", *(word for key, values in args.items() for word in (key, *values))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments:") and err.count("\n") == 1
+
     def test_dubins_invalid_radius_exits_2(self, capsys):
-        code = main(["dubins", "--start", "0", "0", "0", "--goal", "1", "0", "0", "--radius", "-1", "--speed", "10"])
-        assert code == 2
+        for radius in ("-1", "0", "nan", "inf"):
+            self.dubins_rejects(capsys, "--radius", radius)
+
+    @pytest.mark.parametrize("option, value", [("--speed", "nan"), ("--speed", "inf"), ("--dt", "nan"), ("--dt", "inf"), ("--start", "nan")])
+    def test_dubins_nonfinite_argument_exits_2(self, option, value, capsys):
+        self.dubins_rejects(capsys, option, value)

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import intentmpc.mpc as mpc_module
 from intentmpc import (
     ControlInput,
     ControlBounds,
+    ControlSchedule,
     MpcConfig,
     MpcMode,
     MpcWeights,
@@ -106,10 +108,28 @@ class TestBuildProblem:
         assert problem.constraints(cold_start(cfg)).size == 31
         assert len(tree.trajectories) == 1
 
-    def test_unconstrained_has_no_constraints(self):
+    def test_unconstrained_has_no_constraints(self, monkeypatch):
+        # No scenario and no tree built: the counter sees only the classic call.
+        calls = []
+        real = mpc_module.build_scenario_tree
+        monkeypatch.setattr(mpc_module, "build_scenario_tree", lambda *args: calls.append(args) or real(*args))
         cfg = config(mode=MpcMode.UNCONSTRAINED)
-        problem, _ = build_problem(Pose(0, 0, 0), Pose(10, 10, 0), 0, crossing_schedule(), cfg)
+        problem, tree = build_problem(Pose(0, 0, 0), Pose(10, 10, 0), 0, crossing_schedule(), cfg)
         assert problem.constraints(cold_start(cfg)).size == 0
+        assert tree.trajectories.shape == (0, 31, 3) and tree.rates.shape == (0, 30)
+        build_problem(Pose(0, 0, 0), Pose(10, 10, 0), 0, crossing_schedule(), config(MpcMode.CLASSIC))
+        assert len(calls) == 1
+
+    def test_nominal_indexes_absolute_time(self):
+        cfg = config(mode=MpcMode.CLASSIC, horizon=5, robust_horizon=0)
+        schedule = ControlSchedule(angular_rates=(0.01, 0.02, 0.03))
+        _, tree = build_problem(Pose(0, 0, 0), Pose(0, 0, 0), 2, schedule, cfg)
+        # Index 2 of the schedule first, then zeros past the end.
+        assert tree.rates[0].tolist() == [0.03, 0.0, 0.0, 0.0, 0.0]
+
+    def test_rejects_negative_step(self):
+        with pytest.raises(ValueError, match="absolute step"):
+            build_problem(Pose(0, 0, 0), Pose(10, 10, 0), -1, crossing_schedule(), config())
 
     def test_no_intent_predicts_straight_ray(self):
         cfg = config(mode=MpcMode.NO_INTENT)
@@ -378,6 +398,22 @@ class TestModesShareTheTranscription:
         assert free.constraints(z).shape == (0,)
         assert free.objective(z) == classic.objective(z)
         assert free.objective_grad(z).tobytes() == classic.objective_grad(z).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(encounters())
+    def test_no_intent_is_classic_on_an_all_zero_schedule(self, case):
+        cfg, own, intruder, t, seed = case
+        straight = ControlSchedule(angular_rates=(0.0,) * (t + cfg.horizon))
+        no_intent, _ = build_problem(own, intruder, t, crossing_schedule(), replace(cfg, mode=MpcMode.NO_INTENT))
+        classic, _ = build_problem(own, intruder, t, straight, replace(cfg, mode=MpcMode.CLASSIC))
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(classic.lower, classic.upper)
+        w = rng.uniform(0.0, 2.0, cfg.horizon + 1)
+        assert no_intent.objective(z) == classic.objective(z)
+        assert no_intent.objective_grad(z).tobytes() == classic.objective_grad(z).tobytes()
+        assert no_intent.constraints(z).tobytes() == classic.constraints(z).tobytes()
+        jtw = no_intent.constraints_weighted_grad(z, w)
+        assert jtw.tobytes() == classic.constraints_weighted_grad(z, w).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(encounters())

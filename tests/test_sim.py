@@ -16,7 +16,6 @@ from intentmpc import (
     MpcWeights,
     Pose,
     ScenarioSpec,
-    TreeShape,
     build_scenario_tree,
     metrics,
     run_closed_loop,
@@ -127,8 +126,8 @@ class TestClosedLoop:
         spec = conflict_spec()
         trace = run_closed_loop(spec)
         _, schedule = intruder_plan(spec)
-        shape = TreeShape(robust_horizon=0, horizon=len(trace.steps))
-        tree = build_scenario_tree(spec.intruder_start, schedule, 0, spec.mpc.intruder_bounds, shape, spec.mpc.dt)
+        rates = [schedule.rate_at(k) for k in range(len(trace.steps))]
+        tree = build_scenario_tree(spec.intruder_start, rates, 0, spec.mpc.intruder_bounds, spec.mpc.dt)
         nominal = tree.trajectories[0].tolist()
         for s in trace.steps:
             assert [s.intruder.x, s.intruder.y, s.intruder.heading] == nominal[s.t]

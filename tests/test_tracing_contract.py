@@ -69,9 +69,11 @@ def test_traced_solve_without_an_inner_solve(monkeypatch):
 
 def test_traced_unconstrained_problem_has_zero_rows(monkeypatch):
     # Unconstrained is zero separation rows, not a missing callable: the
-    # tracer wraps `constraints` as in every mode and counts no row.
+    # tracer wraps `constraints` as in every mode and counts no row.  No
+    # tree is built for it.
     tracer = traced_solve_step(monkeypatch, config(MpcMode.UNCONSTRAINED, horizon=10))
     names = {span[0] for span in tracer.spans}
     assert {"mpc.objective", "mpc.objective_grad", "mpc.constraints", "solver.solve"} <= names
+    assert "dynamics.build_scenario_tree" not in names
     assert tracer.counters["mpc.problems"] == 1
     assert tracer.counters["mpc.constraint_rows"] == 0
