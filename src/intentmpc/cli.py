@@ -88,6 +88,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    if args.runs < 1:
+        print(f"invalid arguments: --runs must be at least 1, got {args.runs}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     spec = _load_spec(args)
     out = Path(args.out)
     report = run_monte_carlo(spec, runs=args.runs, max_workers=_monte_carlo_workers())

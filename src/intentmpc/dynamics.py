@@ -9,7 +9,9 @@ horizon) and following the nominal rates, which `mpc` picks per mode, after.
 `step` advances one pose; `build_scenario_tree` integrates every scenario
 at once as cumulative sums over arrays, by the same floating-point
 operations in the same order, so a tree's trajectories equal repeated
-`step`s over its rates bit for bit.
+`step`s over its rates bit for bit.  `scenario_reach` bounds where any
+scenario of such a tree can be at each stage from the nominal rollout
+alone, without building the tree.
 """
 
 from __future__ import annotations
@@ -147,6 +149,46 @@ def build_scenario_tree(
     rates.flags.writeable = False
     trajectories.flags.writeable = False
     return ScenarioTree(rates=rates, trajectories=trajectories, speed=bounds.v_max)
+
+
+def scenario_reach(
+    intruder_now: Pose, nominal_rates: np.typing.ArrayLike, robust_horizon: int, bounds: ControlBounds, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Discs holding every scenario of a tree without building it: (centres (N+1, 2), radii (N+1,)).
+
+    Contract: every trajectory of `build_scenario_tree` with the same
+    arguments lies within `radii[k]` of `centres[k]` at stage k, up to the
+    rounding of the two rollouts.  `centres` is the nominal rollout.  A
+    scenario's heading at stage i differs from the nominal one by at most
+    dsigma_i = dt * sum_{l < min(i, N_r)} max(u_max - nom_l, nom_l - u_min),
+    so its step i lies within dt * v * min(dsigma_i, 2) of the nominal step
+    (the chord between two headings is at most the arc and the diameter),
+    and radii[k] sums those over i < k.
+    """
+    nominal = np.asarray(nominal_rates, dtype=float)
+    n = len(nominal)
+    heading = np.empty(n + 1)  # each sum as in _accumulate, so the centres are the tree's nominal scenario
+    heading[0] = intruder_now.heading
+    np.multiply(dt, nominal, out=heading[1:])
+    np.add.accumulate(heading, out=heading)
+    reach = dt * bounds.v_max
+    xy = np.empty((2, n + 1))
+    xy[:, 0] = intruder_now.x, intruder_now.y
+    np.cos(heading[:n], out=xy[0, 1:])
+    np.sin(heading[:n], out=xy[1, 1:])
+    np.multiply(reach, xy[:, 1:], out=xy[:, 1:])
+    np.add.accumulate(xy, axis=1, out=xy)
+
+    spread = np.zeros(n)  # dt * the largest |rate - nominal| of any branch, zero past the robust horizon
+    robust = nominal[:robust_horizon]
+    np.maximum(bounds.u_max - robust, robust - bounds.u_min, out=spread[:robust_horizon])
+    spread *= dt
+    radii = np.zeros(n + 1)
+    np.add.accumulate(spread[:-1], out=radii[2:])  # radii[1:] = dsigma_0..dsigma_{N-1}
+    np.minimum(radii, 2.0, out=radii)
+    radii *= reach
+    np.add.accumulate(radii, out=radii)
+    return xy.T, radii
 
 
 def separation(a: Pose, b: Pose) -> float:

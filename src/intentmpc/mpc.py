@@ -11,22 +11,33 @@ and differ only in how the intruder is predicted, all in `_prediction_tree`:
 * classic: single nominal-schedule prediction;
 * no-intent: single straight-line prediction (nominal rates zeroed);
 * unconstrained: no scenario, so no separation row (nominal-path baseline).
+
+`solve_step` screens first: a step where no separation row can be
+nonnegative anywhere in the control box (`_rows_can_bind`) is solved in
+unconstrained mode, without the tree or its rows.  On the full problem every
+augmented-Lagrangian weight would stay zero there (the value is f + 0.0, no
+J^T w is added, the multipliers stay zero), so the result is the same bit for
+bit.  `build_problem` is always the full transcription of the configured mode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from .dubins import ControlSchedule, Pose
-from .dynamics import ControlBounds, ControlInput, ScenarioTree, build_scenario_tree
+from .dynamics import ControlBounds, ControlInput, ScenarioTree, build_scenario_tree, scenario_reach
 from .solver import NlpProblem, SolverConfig, SolverResult, solve
 
 TWO_PI = 2.0 * math.pi
+
+# The screen's allowance for rounding, relative to the numbers compared and in metres.
+SCREEN_MARGIN_REL = 1e-9
+SCREEN_MARGIN_M = 1e-6
 
 
 def wrap_angles(angles: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -243,14 +254,44 @@ class _SingleShooting:
         return jac.reshape(-1, 2 * n)
 
 
+def _prediction(t: int, intent_schedule: ControlSchedule, config: MpcConfig) -> tuple[np.ndarray, int]:
+    """Nominal intruder rates over the horizon from absolute step t, and the
+    robust horizon, of a constrained mode; the schedule reads as zero past its end."""
+    nominal = np.zeros(config.horizon)
+    if config.mode is not MpcMode.NO_INTENT:
+        rates = intent_schedule.angular_rates[t : t + config.horizon]
+        nominal[: len(rates)] = rates
+    return nominal, config.robust_horizon if config.mode is MpcMode.SCENARIO_TREE else 0
+
+
 def _prediction_tree(intruder_now: Pose, t: int, intent_schedule: ControlSchedule, config: MpcConfig) -> ScenarioTree:
     """The intruder prediction of the configured mode, from absolute step t."""
     n = config.horizon
     if config.mode is MpcMode.UNCONSTRAINED:
         return ScenarioTree(rates=np.empty((0, n)), trajectories=np.empty((0, n + 1, 3)), speed=config.intruder_bounds.v_max)
-    nominal = np.zeros(n) if config.mode is MpcMode.NO_INTENT else [intent_schedule.rate_at(t + k) for k in range(n)]
-    robust_horizon = config.robust_horizon if config.mode is MpcMode.SCENARIO_TREE else 0
+    nominal, robust_horizon = _prediction(t, intent_schedule, config)
     return build_scenario_tree(intruder_now, nominal, robust_horizon, config.intruder_bounds, config.dt)
+
+
+def _rows_can_bind(own_now: Pose, intruder_now: Pose, t: int, intent_schedule: ControlSchedule, config: MpcConfig) -> bool:
+    """Whether some separation row of the configured prediction can be nonnegative anywhere in the control box.
+
+    At stage k the ownship is within dt * v_max * k of its start and every
+    scenario within `scenario_reach`'s radius of the nominal rollout; rows
+    are kept unless those discs stay rho plus a rounding margin apart at
+    every stage, stage 0 included.  A non-finite distance keeps them.
+    """
+    nominal, robust_horizon = _prediction(t, intent_schedule, config)
+    intruder_bounds, n, dt = config.intruder_bounds, config.horizon, config.dt
+    centres, radii = scenario_reach(intruder_now, nominal, robust_horizon, intruder_bounds, dt)
+    own_reach = dt * config.own_bounds.v_max
+    gap = np.hypot(centres[:, 0] - own_now.x, centres[:, 1] - own_now.y)
+    gap -= radii
+    gap -= own_reach * np.arange(n + 1)
+    # Every coordinate and distance compared is at most `size` in magnitude.
+    size = abs(own_now.x) + abs(own_now.y) + abs(intruder_now.x) + abs(intruder_now.y)
+    size += config.min_separation + n * (own_reach + 3.0 * dt * intruder_bounds.v_max)
+    return not gap.min() > config.min_separation + SCREEN_MARGIN_REL * size + SCREEN_MARGIN_M
 
 
 def build_problem(
@@ -302,7 +343,9 @@ def solve_step(
     config: MpcConfig,
     warm: MpcSolution | None = None,
 ) -> MpcSolution:
-    """Solve one receding-horizon instance and package the applied action."""
+    """Solve one receding-horizon instance, without its rows where none can bind, and package the applied action."""
+    if config.mode is not MpcMode.UNCONSTRAINED and not _rows_can_bind(own_now, intruder_now, t, intent_schedule, config):
+        config = replace(config, mode=MpcMode.UNCONSTRAINED)
     problem, _ = build_problem(own_now, intruder_now, t, intent_schedule, config)
     z0 = shift_warm_start(warm.solver.z_star, config.horizon) if warm is not None else cold_start(config)
     result = solve(problem, z0, config.solver)

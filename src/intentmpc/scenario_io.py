@@ -39,6 +39,7 @@ _FIELD_KEYS = {
     "state_weight": "mpc.Q",
     "terminal_weight": "mpc.Qf",
     "rate_smoothing": "mpc.R",
+    "intruder_bounds": "intruder.bounds.u",
     "kind": "disturbance.kind",
     "lo": "disturbance.lo_deg_s",
     "max_steps": "sim.max_steps",

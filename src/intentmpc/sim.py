@@ -66,7 +66,7 @@ class ScenarioSpec:
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if not self.mpc.intruder_bounds.u_max > 0.0:
-            raise ValueError("intruder needs a positive maximum turn rate")
+            raise ValueError(f"intruder_bounds needs a positive maximum turn rate, got u_max = {self.mpc.intruder_bounds.u_max}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from intentmpc import (
     shortest_path,
     step,
 )
+from intentmpc.dynamics import scenario_reach
 from oracle_dynamics import branch_index, rollout
 
 INTRUDER_BOUNDS = ControlBounds(v_min=10.0, v_max=10.0, u_min=-0.07, u_max=0.07)
@@ -224,3 +225,30 @@ class TestTreeMatchesSequentialReference:
                 branch = branch_index(j, k, robust_horizon, horizon)
                 assert table[j - 1, k] == branch
                 assert tree.rates[j - 1, k] == rate_of.get(branch, nominal[k])
+
+
+class TestScenarioReach:
+    """`scenario_reach` against the tree it bounds without building."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(tree_cases())
+    def test_every_scenario_lies_within_its_disc(self, case):
+        start, nominal, robust_horizon, bounds, dt = case
+        tree = build_scenario_tree(start, nominal, robust_horizon, bounds, dt)
+        centres, radii = scenario_reach(start, nominal, robust_horizon, bounds, dt)
+        assert centres.shape == (len(nominal) + 1, 2) and radii.shape == (len(nominal) + 1,)
+        # The centres are the all-nominal scenario, the tree's last row.
+        assert np.array_equal(centres, tree.trajectories[-1, :, :2])
+        offset = tree.trajectories[..., :2] - centres
+        distance = np.hypot(offset[..., 0], offset[..., 1])
+        # Rounding of the two rollouts, relative to the largest coordinate.
+        rounding = 1e-12 * (abs(start.x) + abs(start.y) + len(nominal) * dt * bounds.v_max)
+        assert np.all(distance <= radii + rounding)
+
+    def test_radius_grows_only_through_the_robust_horizon(self):
+        # Straight nominal, N_r = 2, rates +-0.07 at 10 m/s: heading spreads
+        # 0, 0.07, 0.14, then stays 0.14; each step adds 10 * spread.
+        _, radii = scenario_reach(Pose(0, 0, 0), np.zeros(5), 2, INTRUDER_BOUNDS, 1.0)
+        assert radii == pytest.approx([0.0, 0.0, 0.7, 2.1, 3.5, 4.9])
+        _, nominal_only = scenario_reach(Pose(0, 0, 0), np.zeros(5), 0, INTRUDER_BOUNDS, 1.0)
+        assert not nominal_only.any()

@@ -159,8 +159,9 @@ class TestScenarioParsing:
             ("disturbance.kind", {"disturbance.kind": "gauss"}),
             ("disturbance.kind", {"disturbance.kind": []}),
             ("disturbance.lo_deg_s", {"disturbance": {"kind": "uniform", "lo_deg_s": 0.5, "hi_deg_s": -0.5}}),
+            ("intruder.bounds.u", {"intruder.bounds.u": [0.0, 0.0]}),
         ],
-        ids=["max_steps-zero", "target_radius-zero", "kind-gauss", "kind-list", "lo-above-hi"],
+        ids=["max_steps-zero", "target_radius-zero", "kind-gauss", "kind-list", "lo-above-hi", "intruder-no-turn"],
     )
     def test_bad_value_names_path(self, key, overrides):
         with pytest.raises(ScenarioError) as err:
@@ -334,6 +335,14 @@ class TestCli:
         assert (out_a / "nominal.csv").exists()
         assert (out_a / "overlay_traj.svg").exists() and (out_a / "overlay_distance.svg").exists()
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_montecarlo_without_runs_exits_2(self, quick_path, tmp_path, capsys, runs):
+        out = tmp_path / "out"
+        code = main(["montecarlo", "--scenario", str(quick_path), "--out", str(out), "--runs", runs])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("invalid arguments: --runs")
+        assert not out.exists()
 
     def test_montecarlo_respects_thread_env(self, tmp_path, monkeypatch):
         doc = quick_doc()

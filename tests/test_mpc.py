@@ -27,7 +27,7 @@ from intentmpc import (
 from intentmpc.mpc import cold_start, shift_warm_start, wrap_angles
 from intentmpc.scenario_io import load_scenario
 from intentmpc.sim import intruder_plan
-from intentmpc.solver import SolverConfig
+from intentmpc.solver import SolverConfig, solve
 from oracle_dynamics import rollout
 
 OWN_BOUNDS = ControlBounds(v_min=6.0, v_max=9.0, u_min=-0.1, u_max=0.1)
@@ -57,6 +57,14 @@ def crossing_schedule():
     h = 3 * math.pi / 4
     path = shortest_path(Pose(800, -350, h), Pose(800 - 636.4, -350 + 636.4, h), INTRUDER_RADIUS)
     return control_schedule(path, INTRUDER_BOUNDS.v_max, 1.0)
+
+
+def count_tree_calls(monkeypatch) -> list:
+    """Record every build_scenario_tree call that mpc makes."""
+    calls = []
+    real = mpc_module.build_scenario_tree
+    monkeypatch.setattr(mpc_module, "build_scenario_tree", lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 Q, QF, R = (1.0, 1.0, 0.0), (1.0, 1.0, 1.0), 1.0
@@ -110,9 +118,7 @@ class TestBuildProblem:
 
     def test_unconstrained_has_no_constraints(self, monkeypatch):
         # No scenario and no tree built: the counter sees only the classic call.
-        calls = []
-        real = mpc_module.build_scenario_tree
-        monkeypatch.setattr(mpc_module, "build_scenario_tree", lambda *args: calls.append(args) or real(*args))
+        calls = count_tree_calls(monkeypatch)
         cfg = config(mode=MpcMode.UNCONSTRAINED)
         problem, tree = build_problem(Pose(0, 0, 0), Pose(10, 10, 0), 0, crossing_schedule(), cfg)
         assert problem.constraints(cold_start(cfg)).size == 0
@@ -504,3 +510,67 @@ class TestSolveStep:
             assert history, "no outer iterations recorded"
             for before, after in zip(history, history[1:]):
                 assert after <= max(2.0 * before, 1e-4), f"violation grew {before} -> {after}"
+
+
+class TestScreen:
+    """solve_step solves a step where no separation row can bind without the tree or its rows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(encounters(), st.sampled_from([MpcMode.SCENARIO_TREE, MpcMode.CLASSIC, MpcMode.NO_INTENT]))
+    def test_screened_step_equals_the_full_problem(self, case, mode):
+        cfg, own, intruder, t, seed = case
+        cfg = replace(cfg, mode=mode)
+        schedule = crossing_schedule()
+        assume(not mpc_module._rows_can_bind(own, intruder, t, schedule, cfg))
+        full, _ = build_problem(own, intruder, t, schedule, cfg)
+        # Every row is negative over the box: at its corners and inside.
+        rng = np.random.default_rng(seed)
+        for z in (full.lower, full.upper, *rng.uniform(full.lower, full.upper, (4, full.dimension))):
+            assert np.all(full.constraints(z) < 0.0)
+        expected = solve(full, cold_start(cfg), cfg.solver)
+
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_tree_calls(patch)
+            got = solve_step(own, intruder, t, schedule, cfg).solver
+        assert calls == []
+        assert got.z_star.tobytes() == expected.z_star.tobytes()
+        assert got.objective_value == expected.objective_value
+        assert got.projected_grad_norm == expected.projected_grad_norm
+        assert (got.status, got.outer_iters, got.inner_iters_total) == (
+            expected.status,
+            expected.outer_iters,
+            expected.inner_iters_total,
+        )
+
+    @pytest.mark.parametrize("mode", [MpcMode.SCENARIO_TREE, MpcMode.CLASSIC, MpcMode.NO_INTENT])
+    def test_start_inside_rho_keeps_its_rows(self, monkeypatch, mode):
+        # Already in conflict at stage 0, which no control can change.
+        cfg = config(mode)
+        own, intruder = Pose(0, 0, 0), Pose(100, 0, math.pi)
+        assert mpc_module._rows_can_bind(own, intruder, 0, crossing_schedule(), cfg)
+        calls = count_tree_calls(monkeypatch)
+        solve_step(own, intruder, 0, crossing_schedule(), cfg)
+        assert len(calls) == 1
+
+    def test_intruder_only_the_ownship_can_reach_keeps_its_rows(self, monkeypatch):
+        # The intruder flies north, never nearer than 300 m to the ownship's
+        # start, but the ownship flying straight on at v_max meets it within rho.
+        cfg = config(MpcMode.NO_INTENT)
+        own, intruder = Pose(0, 0, 0), Pose(300, -150, math.pi / 2)
+        full, _ = build_problem(own, intruder, 0, crossing_schedule(), cfg)
+        assert np.max(full.constraints(cold_start(cfg))) > 0.0
+        calls = count_tree_calls(monkeypatch)
+        solve_step(own, intruder, 0, crossing_schedule(), cfg)
+        assert len(calls) == 1
+
+    def test_intruder_only_a_branch_brings_back_keeps_its_rows(self, monkeypatch):
+        # The nominal intruder flies straight away east, faster than the
+        # ownship; the upper branch turns 3 rad over the robust horizon and
+        # comes back head-on.
+        cfg = replace(config(MpcMode.SCENARIO_TREE), intruder_bounds=ControlBounds(10.0, 10.0, -1.0, 1.0))
+        own, intruder, straight = Pose(0, 0, 0), Pose(200, 0, 0), ControlSchedule(angular_rates=())
+        full, _ = build_problem(own, intruder, 0, straight, cfg)
+        assert np.max(full.constraints(cold_start(cfg))) > 0.0
+        calls = count_tree_calls(monkeypatch)
+        solve_step(own, intruder, 0, straight, cfg)
+        assert len(calls) == 1

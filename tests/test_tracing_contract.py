@@ -65,6 +65,9 @@ def test_traced_solve_without_an_inner_solve(monkeypatch):
     assert {"mpc.objective", "mpc.objective_grad", "mpc.constraints", "solver.solve"} <= names
     assert tracer.counters["solver.inner_iters"] == 0
     assert tracer.counters["solver.status.converged"] == 1
+    # No separation row can bind, so the step is solved without the tree or its rows.
+    assert "dynamics.build_scenario_tree" not in names
+    assert tracer.counters["mpc.constraint_rows"] == 0
 
 
 def test_traced_unconstrained_problem_has_zero_rows(monkeypatch):
