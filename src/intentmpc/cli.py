@@ -50,6 +50,8 @@ def _monte_carlo_workers() -> int:
 
 
 def _load_spec(args):
+    if args.seed is not None and args.seed < 0:
+        raise argparse.ArgumentTypeError(f"--seed must be >= 0, got {args.seed}")
     spec = load_scenario(args.scenario)
     if args.mode is not None:
         spec = replace(spec, mpc=replace(spec.mpc, mode=MODES[args.mode]))
@@ -89,8 +91,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     if args.runs < 1:
-        print(f"invalid arguments: --runs must be at least 1, got {args.runs}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise argparse.ArgumentTypeError(f"--runs must be at least 1, got {args.runs}")
     spec = _load_spec(args)
     out = Path(args.out)
     report = run_monte_carlo(spec, runs=args.runs, max_workers=_monte_carlo_workers())
@@ -159,6 +160,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except argparse.ArgumentTypeError as err:
+        print(f"invalid arguments: {err}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except ScenarioError as err:
         print(f"invalid scenario: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT

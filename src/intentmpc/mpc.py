@@ -133,12 +133,11 @@ class _SingleShooting:
     follow from the Euler model being a double cumulative sum: headings are
     cumsums of rates, positions are cumsums of heading-projected speeds.
     The record of the last distinct z (keyed by its bytes) holds everything
-    the objective, its gradient, the separation constraints, their dense
-    Jacobian and J^T w need, so the solver's calls at one z share one
-    rollout.  Per-stage quantities that share an operation (cos|sin, a|b,
-    the x|y offsets, the pullback's five suffix sums) are rows of one block
-    that one numpy call computes, each entry by the same float operations in
-    the same order as alone.
+    the objective, its gradient, the separation constraints and J^T w need,
+    so the solver's calls at one z share one rollout.  Per-stage quantities
+    that share an operation (cos|sin, a|b, the x|y offsets, the pullback's
+    five suffix sums) are rows of one block that one numpy call computes,
+    each entry by the same float operations in the same order as alone.
     """
 
     def __init__(self, own_now: Pose, tree: ScenarioTree, config: MpcConfig):
@@ -238,21 +237,6 @@ class _SingleShooting:
         np.multiply(-2.0, np.einsum("jk,jk->k", w2, dy), out=lam[1])
         return self._pullback(rec, lam)
 
-    def constraints_jac(self, z: np.ndarray) -> np.ndarray:
-        """Dense Jacobian, the oracle for check_gradient; the solver uses J^T w."""
-        n, dt, rec = self.n, self.dt, self._record(z)
-        (a, b), (cos_s, sin_s), (dx, dy) = rec.ab, rec.cs, rec.d
-        # Position Jacobians over stages 0..N, each (N+1, 2N).
-        later = np.arange(n)[None, :] < np.arange(n + 1)[:, None]  # [k, j] = (j < k)
-        jx = np.empty((n + 1, 2 * n))
-        jy = np.empty((n + 1, 2 * n))
-        jx[:, :n] = -dt * dt * (a[:, None] - a[None, 1:]) * later
-        jx[:, n:] = dt * cos_s[None, :] * later
-        jy[:, :n] = dt * dt * (b[:, None] - b[None, 1:]) * later
-        jy[:, n:] = dt * sin_s[None, :] * later
-        jac = -2.0 * (dx[:, :, None] * jx[None, :, :] + dy[:, :, None] * jy[None, :, :])
-        return jac.reshape(-1, 2 * n)
-
 
 def _prediction(t: int, intent_schedule: ControlSchedule, config: MpcConfig) -> tuple[np.ndarray, int]:
     """Nominal intruder rates over the horizon from absolute step t, and the
@@ -318,7 +302,6 @@ def build_problem(
         lower=lower,
         upper=upper,
         constraints=shoot.constraints,
-        constraints_jac=shoot.constraints_jac,
         constraints_weighted_grad=shoot.constraints_weighted_grad,
     )
     return problem, tree

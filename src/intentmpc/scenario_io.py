@@ -21,6 +21,7 @@ from .sim import (
     MonteCarloReport,
     ScenarioSpec,
     SimTrace,
+    _within_target,
     metrics,
 )
 from .solver import STATUS_INFEASIBLE, SolverConfig
@@ -44,6 +45,7 @@ _FIELD_KEYS = {
     "lo": "disturbance.lo_deg_s",
     "max_steps": "sim.max_steps",
     "target_radius": "sim.target_radius",
+    "rng_seed": "sim.seed",
 }
 
 # Every scenario runs at dt = 1 s.  Receding-horizon solves need
@@ -170,7 +172,7 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
 
     sim = doc["sim"]
     _require_keys(sim, "sim", ("max_steps", "target_radius", "seed"))
-    return _build(
+    spec = _build(
         ScenarioSpec,
         "",
         max_steps=_integer(sim["max_steps"], "sim.max_steps"),
@@ -182,6 +184,9 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
         disturbance=disturbance,
         rng_seed=_integer(sim["seed"], "sim.seed"),
     )
+    if _within_target(own_start, spec):
+        raise ScenarioError("ownship.start", "lies within sim.target_radius of ownship.target, so no step would run")
+    return spec
 
 
 def load_scenario(path) -> ScenarioSpec:

@@ -65,6 +65,8 @@ class ScenarioSpec:
             raise ValueError("target_radius must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not self.mpc.intruder_bounds.u_max > 0.0:
             raise ValueError(f"intruder_bounds needs a positive maximum turn rate, got u_max = {self.mpc.intruder_bounds.u_max}")
 

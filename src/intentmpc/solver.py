@@ -86,12 +86,10 @@ class NlpProblem:
     """Box-constrained NLP with smooth inequality constraints c(z) <= 0.
 
     The solver calls `objective`, `objective_grad`, `constraints` (the
-    stacked constraint values) and `constraints_weighted_grad(z, w)` =
-    J(z)^T w, the only Jacobian product the augmented Lagrangian needs; the
-    gradient is required, and J^T w is required whenever constraints are
-    given.  The dense Jacobian `constraints_jac` is optional and read only
-    by `check_gradient`, which compares it and J^T w with finite
-    differences.
+    stacked constraint values, zero or more) and `constraints_weighted_grad(z,
+    w)` = J(z)^T w, the only Jacobian product the augmented Lagrangian needs.
+    All four are required; a problem without constraints returns an empty
+    array and J^T w = 0.
     """
 
     dimension: int
@@ -99,13 +97,12 @@ class NlpProblem:
     lower: np.ndarray
     upper: np.ndarray
     objective_grad: Callable[[np.ndarray], np.ndarray]
-    constraints: Callable[[np.ndarray], np.ndarray] | None = None
+    constraints: Callable[[np.ndarray], np.ndarray]
+    constraints_weighted_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # Nothing sets it; kept only because perfbench/tracing.py looks it up by name.
     constraints_jac: Callable[[np.ndarray], np.ndarray] | None = None
-    constraints_weighted_grad: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.constraints is not None and self.constraints_weighted_grad is None:
-            raise ValueError("constraints require constraints_weighted_grad (J^T w)")
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
         if lo.shape != (self.dimension,) or hi.shape != (self.dimension,):
@@ -148,18 +145,6 @@ class SolverResult:
     multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # Max violation after each outer iteration, for progress diagnostics.
     violation_history: list[float] = field(default_factory=list)
-
-
-def _central_diff(fn: Callable[[np.ndarray], np.ndarray], z: np.ndarray, step: float) -> np.ndarray:
-    """Central differences of fn at z: shape (n,) for a scalar fn, (m, n) for an m-vector fn."""
-    h = step * np.maximum(1.0, np.abs(z))
-    cols = []
-    for i in range(z.size):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += h[i]
-        zm[i] -= h[i]
-        cols.append((fn(zp) - fn(zm)) / (2.0 * h[i]))
-    return np.array(cols).T
 
 
 def _checked(what: str, z: np.ndarray, value) -> np.ndarray:
@@ -231,8 +216,6 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
         return f
 
     def constraints(zz: np.ndarray) -> np.ndarray:
-        if problem.constraints is None:
-            return np.zeros(0)
         return _checked("constraints", zz, problem.constraints(zz))
 
     z = problem.project(np.asarray(z0, dtype=float))
@@ -316,44 +299,3 @@ def _better(a: SolverResult, b: SolverResult) -> bool:
     if a.max_violation != b.max_violation:
         return a.max_violation < b.max_violation
     return a.objective_value < b.objective_value
-
-
-def check_gradient(problem: NlpProblem, z: np.ndarray) -> float:
-    """Worst relative discrepancy between analytic and central-FD derivatives.
-
-    Each gradient (objective, each constraint row, and J^T w for a fixed
-    nonnegative weight vector w, the product the solver uses) is compared in
-    the infinity norm relative to its own magnitude, floored at 1.  The FD
-    step h_i = eps^(1/3) * max(1, |z_i|) balances truncation against
-    roundoff.  A function of value f is evaluated to about eps * |f|, so
-    entry i of its difference quotient carries a roundoff of about
-    eps * |f| / h_i; that much of each entry's discrepancy is forgiven, so a
-    small gradient of a large function does not read as an error.
-    """
-    z = np.asarray(z, dtype=float)
-    if not z.size:
-        return 0.0
-    eps = float(np.finfo(float).eps)
-    step = eps ** (1.0 / 3.0)
-    roundoff = eps / (step * np.maximum(1.0, np.abs(z)))  # entry i's, per unit |f|
-
-    def worst_row(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> float:
-        """Worst over rows of the row's discrepancy beyond roundoff, relative to the row's magnitude."""
-        scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=1), np.max(np.abs(b), axis=1)))
-        excess = np.maximum(np.abs(a - b) - np.multiply.outer(np.abs(values), roundoff), 0.0)
-        return float(np.max(np.max(excess, axis=1) / scale, initial=0.0))
-
-    f = float(problem.objective(z))
-    g_fd = _central_diff(problem.objective, z, step)
-    worst = worst_row(np.asarray(problem.objective_grad(z), dtype=float)[None], g_fd[None], np.array([f]))
-
-    if problem.constraints is not None:
-        if problem.constraints_jac is None:
-            raise ValueError("check_gradient requires an analytic constraint jacobian")
-        c = np.asarray(problem.constraints(z), dtype=float)
-        j_fd = _central_diff(problem.constraints, z, step)
-        worst = max(worst, worst_row(np.asarray(problem.constraints_jac(z), dtype=float), j_fd, c))
-        w = np.random.default_rng(0).uniform(1.0, 2.0, size=c.size)
-        jtw = np.asarray(problem.constraints_weighted_grad(z, w), dtype=float)
-        worst = max(worst, worst_row(jtw[None], (j_fd.T @ w)[None], np.array([w @ np.abs(c)])))
-    return worst

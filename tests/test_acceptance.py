@@ -24,7 +24,6 @@ from intentmpc import (
     ScenarioSpec,
     build_problem,
     build_scenario_tree,
-    check_gradient,
     control_schedule,
     metrics,
     run_closed_loop,
@@ -36,6 +35,7 @@ from intentmpc import (
 from intentmpc.scenario_io import dump_json, load_scenario, summary_doc, trace_to_csv
 from intentmpc.sim import intruder_plan
 from intentmpc.solver import SolverConfig
+from oracle_derivatives import check_gradient
 from oracle_dubins import oracle_shortest_lengths
 from oracle_dynamics import branch_index
 from test_solver import circle_constrained_linear, clipped_quadratic, rosenbrock

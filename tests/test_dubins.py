@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from intentmpc import (
     DubinsWord,
@@ -87,13 +89,14 @@ class TestShortestPath:
                 if path is not None:
                     assert best.total_length <= path.total_length + 1e-9
 
-    def test_matches_oracle_minimum(self):
-        rng = np.random.default_rng(17)
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(10.0, 500.0), st.integers(0, 2**32 - 1))
+    @example(RADIUS_INTRUDER, 17)
+    def test_matches_oracle_minimum(self, radius, seed):
+        rng = np.random.default_rng(seed)
         starts, goals = random_poses(rng, 200), random_poses(rng, 200)
-        expected = oracle_shortest_lengths(starts, goals, RADIUS_INTRUDER)
-        got = np.array(
-            [shortest_path(Pose(*s), Pose(*g), RADIUS_INTRUDER).total_length for s, g in zip(starts, goals)]
-        )
+        expected = oracle_shortest_lengths(starts, goals, radius)
+        got = np.array([shortest_path(Pose(*s), Pose(*g), radius).total_length for s, g in zip(starts, goals)])
         np.testing.assert_allclose(got, expected, atol=1e-4)
 
     def test_mirror_and_reversal_symmetries(self):
@@ -197,18 +200,21 @@ class TestControlSchedule:
             for rate in sched.angular_rates:
                 assert abs(rate) <= 10.0 / RADIUS_INTRUDER + 1e-12
 
-    def test_cumulative_heading_identity(self):
-        rng = np.random.default_rng(41)
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(5.0, 40.0), st.floats(0.25, 2.0), st.integers(0, 2**32 - 1))
+    @example(10.0, 1.0, 41)
+    def test_cumulative_heading_identity(self, speed, dt, seed):
+        rng = np.random.default_rng(seed)
         starts, goals = random_poses(rng, 30), random_poses(rng, 30)
         for s, g in zip(starts, goals):
             path = shortest_path(Pose(*s), Pose(*g), RADIUS_INTRUDER)
-            sched = control_schedule(path, 10.0, 1.0)
+            sched = control_schedule(path, speed, dt)
             heading = s[2]
             for k in range(sched.horizon_steps + 1):
-                expected = sample_pose(path, min(k * 10.0, path.total_length)).heading
+                expected = sample_pose(path, min(k * speed * dt, path.total_length)).heading
                 assert heading == pytest.approx(expected, abs=1e-9)
                 if k < sched.horizon_steps:
-                    heading += 1.0 * sched.angular_rates[k]
+                    heading += dt * sched.angular_rates[k]
 
     def test_past_the_end_reads_zero(self):
         path = solve_word(Pose(0, 0, 0), Pose(200, 0, 0), 100.0, DubinsWord.LSL)

@@ -160,8 +160,11 @@ class TestScenarioParsing:
             ("disturbance.kind", {"disturbance.kind": []}),
             ("disturbance.lo_deg_s", {"disturbance": {"kind": "uniform", "lo_deg_s": 0.5, "hi_deg_s": -0.5}}),
             ("intruder.bounds.u", {"intruder.bounds.u": [0.0, 0.0]}),
+            ("sim.seed", {"sim.seed": -5}),
+            ("ownship.start", {"ownship.start": [300.0, 10.0, 0.0]}),
         ],
-        ids=["max_steps-zero", "target_radius-zero", "kind-gauss", "kind-list", "lo-above-hi", "intruder-no-turn"],
+        ids=["max_steps-zero", "target_radius-zero", "kind-gauss", "kind-list", "lo-above-hi", "intruder-no-turn",
+             "seed-negative", "start-inside-target"],
     )
     def test_bad_value_names_path(self, key, overrides):
         with pytest.raises(ScenarioError) as err:
@@ -285,6 +288,9 @@ class TestSvg:
         assert _text(0.0, 0.0, content).endswith(f">{escape(content)}</text>")
 
 
+RUNS = {"simulate": [], "montecarlo": ["--runs", "2"]}
+
+
 class TestCli:
     def test_simulate_writes_outputs(self, quick_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -342,6 +348,28 @@ class TestCli:
         code = main(["montecarlo", "--scenario", str(quick_path), "--out", str(out), "--runs", runs])
         assert code == 2
         assert capsys.readouterr().err.startswith("invalid arguments: --runs")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_start_inside_target_exits_2(self, tmp_path, capsys, command):
+        # No step would run: simulate had no trace to summarise and
+        # montecarlo no run to aggregate.
+        scenario = tmp_path / "arrived.json"
+        scenario.write_text(json.dumps(quick_doc(**{"ownship.start": [320.0, 0.0, 0.0]})))
+        out = tmp_path / "out"
+        code = main([command, "--scenario", str(scenario), "--out", str(out), *RUNS[command]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("invalid scenario: ownship.start")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        scenario = tmp_path / "noisy.json"
+        scenario.write_text(json.dumps(quick_doc(disturbance={"kind": "uniform", "lo_deg_s": -0.5, "hi_deg_s": 0.5})))
+        out = tmp_path / "out"
+        code = main([command, "--scenario", str(scenario), "--out", str(out), "--seed", "-1", *RUNS[command]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("invalid arguments: --seed")
         assert not out.exists()
 
     def test_montecarlo_respects_thread_env(self, tmp_path, monkeypatch):

@@ -19,7 +19,6 @@ from intentmpc import (
     MpcWeights,
     Pose,
     build_problem,
-    check_gradient,
     control_schedule,
     shortest_path,
     solve_step,
@@ -28,6 +27,7 @@ from intentmpc.mpc import cold_start, shift_warm_start, wrap_angles
 from intentmpc.scenario_io import load_scenario
 from intentmpc.sim import intruder_plan
 from intentmpc.solver import SolverConfig, solve
+from oracle_derivatives import check_gradient, jacobian
 from oracle_dynamics import rollout
 
 OWN_BOUNDS = ControlBounds(v_min=6.0, v_max=9.0, u_min=-0.1, u_max=0.1)
@@ -173,7 +173,7 @@ class TestBuildProblem:
         assert problem.objective(z) >= base
 
 
-CALLABLES = ("objective", "objective_grad", "constraints", "constraints_weighted_grad", "constraints_jac")
+CALLABLES = ("objective", "objective_grad", "constraints", "constraints_weighted_grad")
 
 
 def row_count(args):
@@ -319,14 +319,27 @@ FD_STEP = EPS ** (1.0 / 3.0)  # check_gradient's step per max(1, |z_i|)
 
 
 def with_error(problem, name, row, entry):
-    """The problem with the output of `name` off in one entry (row `row` of
-    the Jacobian) by 1e-4 of that gradient's magnitude, floored at 1."""
+    """The problem with one derivative off in one entry by 1e-4 of that
+    gradient's magnitude, floored at 1: the output of `name`, or for name
+    "jacobian" entry (row, entry) of J, which J^T w then carries as that
+    error times w[row]."""
+    if name == "jacobian":
+        jtw = problem.constraints_weighted_grad
+
+        def wrong_row(z, w):
+            unit = np.zeros(w.size)
+            unit[row] = 1.0
+            size = 1e-4 * max(1.0, float(np.max(np.abs(jtw(z, unit)))))
+            out = np.array(jtw(z, w), dtype=float)
+            out[entry] += size * w[row]
+            return out
+
+        return replace(problem, constraints_weighted_grad=wrong_row)
     fn = getattr(problem, name)
 
     def wrong(z, *w):
         out = np.array(fn(z, *w), dtype=float)
-        grad = out[row] if out.ndim == 2 else out
-        grad[entry] += 1e-4 * max(1.0, float(np.max(np.abs(grad))))
+        out[entry] += 1e-4 * max(1.0, float(np.max(np.abs(out))))
         return out
 
     return replace(problem, **{name: wrong})
@@ -365,7 +378,7 @@ class TestCheckGradientResolution:
         z = np.random.default_rng(99).uniform(problem.lower, problem.upper)
         assert check_gradient(problem, z) <= 1e-5
         # Every entry of the objective's and every row's gradient is resolved here.
-        jac = problem.constraints_jac(z)
+        jac = jacobian(problem, z)
         assert not unresolved([problem.objective(z)], [problem.objective_grad(z)], z).any()
         assert not unresolved(problem.constraints(z), jac, z).any()
         rows, n = jac.shape
@@ -374,10 +387,10 @@ class TestCheckGradientResolution:
             assert check_gradient(with_error(problem, "constraints_weighted_grad", 0, entry), z) > 1e-5
         for row in range(0, rows, 28):  # 30 rows spread over the scenarios and stages
             entry = row % n
-            assert check_gradient(with_error(problem, "constraints_jac", row, entry), z) > 1e-5
+            assert check_gradient(with_error(problem, "jacobian", row, entry), z) > 1e-5
 
     @settings(max_examples=60, deadline=None)
-    @given(encounters(), st.sampled_from(["objective_grad", "constraints_jac"]), st.data())
+    @given(encounters(), st.sampled_from(["objective_grad", "jacobian"]), st.data())
     def test_error_in_any_resolved_entry_is_flagged(self, case, name, data):
         cfg, own, intruder, t, seed = case
         problem, _ = build_problem(own, intruder, t, crossing_schedule(), cfg)
@@ -385,7 +398,7 @@ class TestCheckGradientResolution:
         if name == "objective_grad":
             values, grads = [problem.objective(z)], [problem.objective_grad(z)]
         else:
-            values, grads = problem.constraints(z), problem.constraints_jac(z)
+            values, grads = problem.constraints(z), jacobian(problem, z)
         assume(len(values) > 0)  # unconstrained: no row
         row = data.draw(st.integers(0, len(values) - 1))
         entry = data.draw(st.integers(0, z.size - 1))

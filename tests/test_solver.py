@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, minimize
 from scipy.optimize._lbfgsb import setulb
 
-from intentmpc import NlpProblem, NumericalDomainError, SolverConfig, build_problem, check_gradient, solve
+from intentmpc import NlpProblem, NumericalDomainError, SolverConfig, build_problem, solve
 from intentmpc import solver
 from intentmpc.mpc import cold_start
 from intentmpc.scenario_io import load_scenario
 from intentmpc.sim import intruder_plan
 from intentmpc.solver import STATUS_CONVERGED
+from oracle_derivatives import check_gradient
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# The rows of a problem without constraints: none, and J^T w = 0.
+NO_ROWS = dict(constraints=lambda z: np.zeros(0), constraints_weighted_grad=lambda z, w: np.zeros(z.size))
 
 
 def projected_grad_norm(lower: np.ndarray, upper: np.ndarray, z: np.ndarray, grad: np.ndarray) -> float:
@@ -36,6 +39,7 @@ def clipped_quadratic() -> NlpProblem:
         objective_grad=lambda z: np.array([2.0 * (z[0] - 3.0)]),
         lower=np.array([-1.0]),
         upper=np.array([1.0]),
+        **NO_ROWS,
     )
 
 
@@ -45,7 +49,6 @@ def circle_constrained_linear() -> NlpProblem:
         objective=lambda z: z[0] + z[1],
         objective_grad=lambda z: np.array([1.0, 1.0]),
         constraints=lambda z: np.array([z[0] ** 2 + z[1] ** 2 - 1.0]),
-        constraints_jac=lambda z: np.array([[2.0 * z[0], 2.0 * z[1]]]),
         constraints_weighted_grad=lambda z, w: w[0] * np.array([2.0 * z[0], 2.0 * z[1]]),
         lower=np.array([-2.0, -2.0]),
         upper=np.array([2.0, 2.0]),
@@ -70,6 +73,7 @@ def rosenbrock() -> NlpProblem:
         objective_grad=g,
         lower=np.array([-5.0, -5.0]),
         upper=np.array([5.0, 5.0]),
+        **NO_ROWS,
     )
 
 
@@ -80,7 +84,6 @@ def infeasible_bound() -> NlpProblem:
         objective=lambda z: z[0] ** 2,
         objective_grad=lambda z: np.array([2.0 * z[0]]),
         constraints=lambda z: np.array([2.0 - z[0]]),
-        constraints_jac=lambda z: np.array([[-1.0]]),
         constraints_weighted_grad=lambda z, w: -w,
         lower=np.array([-1.0]),
         upper=np.array([1.0]),
@@ -139,6 +142,7 @@ class TestSolve:
             objective_grad=lambda z: np.zeros(2),
             lower=np.full(2, -1.0),
             upper=np.full(2, 1.0),
+            **NO_ROWS,
         )
         with pytest.raises(NumericalDomainError) as err:
             solve(problem, np.zeros(2))
@@ -156,7 +160,7 @@ class TestSolve:
             (
                 "objective gradient",
                 [1],
-                dict(objective_grad=lambda z: np.array([0.0, np.nan])),
+                dict(objective_grad=lambda z: np.array([0.0, np.nan]), **NO_ROWS),
             ),
             (
                 "constraints",
@@ -194,16 +198,15 @@ class TestSolve:
 
     def test_missing_objective_gradient_rejected(self):
         with pytest.raises(TypeError, match="objective_grad"):
-            NlpProblem(dimension=1, objective=lambda z: z[0] ** 2, lower=np.array([-1.0]), upper=np.array([1.0]))
+            NlpProblem(dimension=1, objective=lambda z: z[0] ** 2, lower=np.array([-1.0]), upper=np.array([1.0]), **NO_ROWS)
 
     def test_constraints_without_weighted_gradient_rejected(self):
-        with pytest.raises(ValueError, match="constraints_weighted_grad"):
+        with pytest.raises(TypeError, match="constraints_weighted_grad"):
             NlpProblem(
                 dimension=1,
                 objective=lambda z: z[0] ** 2,
                 objective_grad=lambda z: 2.0 * z,
                 constraints=lambda z: np.array([1.0 - z[0]]),
-                constraints_jac=lambda z: np.array([[-1.0]]),
                 lower=np.array([-1.0]),
                 upper=np.array([1.0]),
             )
@@ -279,6 +282,7 @@ class TestStartTest:
             objective_grad=lambda x: curvature * (x - z) + g,
             lower=lower,
             upper=upper,
+            **NO_ROWS,
         )
         res = minimize(
             lambda x: (problem.objective(x), problem.objective_grad(x)),
@@ -469,12 +473,13 @@ class TestCheckGradient:
             objective_grad=lambda z: np.array([3.0 * z[0] + 1.0]),
             lower=np.array([-1.0]),
             upper=np.array([1.0]),
+            **NO_ROWS,
         )
         assert check_gradient(problem, np.array([0.5])) > 1e-2
 
     def test_detects_wrong_weighted_constraint_gradient(self):
-        # The dense Jacobian is right; only J^T w, the product the solver
-        # uses, is wrong (its second entry ignores z[1]).
+        # J^T w, the product the solver uses, is wrong: its second entry
+        # ignores z[1], and so does the second entry of every row J^T e_i.
         problem = replace(
             circle_constrained_linear(),
             constraints_weighted_grad=lambda z, w: w[0] * np.array([2.0 * z[0], 2.0 * z[0]]),
