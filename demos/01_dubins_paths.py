@@ -36,7 +36,7 @@ def main() -> None:
 
         sched = control_schedule(best, 10.0, 1.0)
         shown = ", ".join(f"{r:+.3f}" for r in sched.angular_rates[:8])
-        print(f"     schedule: {sched.horizon_steps} steps at 10 m/s; first rates [{shown}, ...]")
+        print(f"     schedule: {len(sched.angular_rates)} steps at 10 m/s; first rates [{shown}, ...]")
 
 
 if __name__ == "__main__":

@@ -102,7 +102,15 @@ def cmd_montecarlo(args) -> int:
         if outcome.error is not None:
             failures += 1
             print(f"run {index} failed: {outcome.error}", file=sys.stderr)
-    _write(out / "nominal.csv", trace_to_csv(report.nominal))
+    if report.nominal.trace.steps:
+        _write(out / "nominal.csv", trace_to_csv(report.nominal.trace))
+    # The report and overlays need the whole nominal run and at least one completed run.
+    if not report.nominal.ok:
+        print(f"nominal run failed: {report.nominal.error}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
+    if failures == len(report.runs):
+        print(f"no run completed; wrote the run CSVs to {out}", file=sys.stderr)
+        return EXIT_SOLVER_FAILURE
     _write(out / "report.json", dump_json(report_doc(report)))
     _write(out / "overlay_traj.svg", plot_monte_carlo_trajectories(report))
     _write(out / "overlay_distance.svg", plot_monte_carlo_separation(report))
@@ -131,19 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="intent-mpc", description="Intent-aware scenario-tree MPC collision avoidance")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one closed-loop encounter")
-    sim.add_argument("--scenario", required=True, help="scenario JSON file")
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--mode", choices=sorted(MODES), help="override the scenario's controller mode")
-    sim.add_argument("--seed", type=int, help="override the scenario's RNG seed")
-    sim.set_defaults(fn=cmd_simulate)
-
-    mc = sub.add_parser("montecarlo", help="run a seeded Monte-Carlo batch")
-    mc.add_argument("--scenario", required=True)
-    mc.add_argument("--out", required=True)
+    encounter = argparse.ArgumentParser(add_help=False)
+    encounter.add_argument("--scenario", required=True, help="scenario JSON file")
+    encounter.add_argument("--out", required=True, help="output directory")
+    encounter.add_argument("--mode", choices=sorted(MODES), help="override the scenario's controller mode")
+    encounter.add_argument("--seed", type=int, help="override the scenario's RNG seed")
+    sub.add_parser("simulate", parents=[encounter], help="run one closed-loop encounter").set_defaults(fn=cmd_simulate)
+    mc = sub.add_parser("montecarlo", parents=[encounter], help="run a seeded Monte-Carlo batch")
     mc.add_argument("--runs", type=int, default=20)
-    mc.add_argument("--mode", choices=sorted(MODES))
-    mc.add_argument("--seed", type=int)
     mc.set_defaults(fn=cmd_montecarlo)
 
     du = sub.add_parser("dubins", help="print the shortest path and control schedule between two poses")

@@ -82,10 +82,6 @@ class ControlSchedule:
 
     angular_rates: tuple[float, ...]
 
-    @property
-    def horizon_steps(self) -> int:
-        return len(self.angular_rates)
-
     def rate_at(self, k: int) -> float:
         if k < 0:
             raise ValueError(f"schedule index must be non-negative, got {k}")

@@ -6,12 +6,12 @@ enumerated as a tree of control sequences branching over
 {upper rate, lower rate, nominal rate} for the first few stages (the robust
 horizon) and following the nominal rates, which `mpc` picks per mode, after.
 
-`step` advances one pose; `build_scenario_tree` integrates every scenario
-at once as cumulative sums over arrays, by the same floating-point
-operations in the same order, so a tree's trajectories equal repeated
-`step`s over its rates bit for bit.  `scenario_reach` bounds where any
-scenario of such a tree can be at each stage from the nominal rollout
-alone, without building the tree.
+`step` advances one pose; `_rollout` integrates many rate sequences at
+once as cumulative sums over arrays, by the same floating-point operations
+in the same order, so a tree's trajectories equal repeated `step`s over its
+rates bit for bit.  `build_scenario_tree` rolls out every scenario with it,
+and `scenario_reach` only the nominal one, around which it bounds where any
+scenario of the tree can be at each stage without building the tree.
 """
 
 from __future__ import annotations
@@ -71,19 +71,18 @@ class ScenarioTree:
 
     * `rates` (M, N): angular rate of scenario j-1 at stage k;
     * `trajectories` (M, N+1, 3): (x, y, heading) of scenario j-1 at stage
-      k, with stage 0 the intruder's current pose;
-    * `speed`: the intruder's speed, the same in every scenario and stage.
+      k, with stage 0 the intruder's current pose.
 
     The first axis of both arrays is the scenario, so `len(tree.rates)` and
     `len(tree.trajectories)` count scenarios.  Row j-1 of `trajectories`
-    equals `step` repeated with `ControlInput(speed, u)` over `rates[j-1]`
-    bit for bit.  Scenarios sharing a branch prefix share the rate prefix, so
-    non-anticipativity holds by construction.
+    equals `step` repeated with `ControlInput(v_max, u)` over `rates[j-1]`
+    bit for bit, v_max the intruder's maximum speed.  Scenarios sharing a
+    branch prefix share the rate prefix, so non-anticipativity holds by
+    construction.
     """
 
     rates: np.ndarray
     trajectories: np.ndarray
-    speed: float
 
 
 def step(state: Pose, inp: ControlInput, dt: float) -> Pose:
@@ -110,11 +109,26 @@ def branch_table(robust_horizon: int, horizon: int) -> np.ndarray:
     return table
 
 
-def _accumulate(start: float, increments: np.ndarray) -> np.ndarray:
-    """Per row, cumsum([start, inc_0, inc_1, ...]): each stage adds one
-    increment to the previous one, as `step` does, so the sums round exactly
-    as the sequential ones; `start + cumsum(inc)` would round differently."""
-    return np.cumsum(np.column_stack((np.full(len(increments), start), increments)), axis=1)
+def _rollout(start: Pose, rates: np.ndarray, reach: float, dt: float) -> np.ndarray:
+    """`step` repeated from `start` over each row of rates (M, N) with dt * speed = reach,
+    as (x, y, heading) planes (3, M, N+1).
+
+    Each stage adds one increment to the previous sum, as `step` does, so the
+    sums round exactly as the sequential ones; `start + cumsum(inc)` would
+    round differently.
+    """
+    n = rates.shape[1]
+    planes = np.empty((3, len(rates), n + 1))
+    xy, heading = planes[:2], planes[2]
+    heading[:, 0] = start.heading
+    np.multiply(dt, rates, out=heading[:, 1:])
+    np.add.accumulate(heading, axis=1, out=heading)
+    xy[:, :, 0] = ((start.x,), (start.y,))
+    np.cos(heading[:, :n], out=xy[0, :, 1:])
+    np.sin(heading[:, :n], out=xy[1, :, 1:])
+    np.multiply(reach, xy[:, :, 1:], out=xy[:, :, 1:])  # step's operation order: (dt * v) * cos(heading)
+    np.add.accumulate(xy, axis=2, out=xy)
+    return planes
 
 
 def build_scenario_tree(
@@ -139,16 +153,12 @@ def build_scenario_tree(
     if not np.isfinite(rates).all():
         raise ValueError("intruder rates must be finite; check the nominal rates and bounds")
 
-    heading = _accumulate(intruder_now.heading, dt * rates)
-    reach = dt * bounds.v_max  # step's operation order: (dt * v) * cos(heading)
-    x = _accumulate(intruder_now.x, reach * np.cos(heading[:, :n]))
-    y = _accumulate(intruder_now.y, reach * np.sin(heading[:, :n]))
-    trajectories = np.stack((x, y, heading), axis=-1)
+    trajectories = _rollout(intruder_now, rates, dt * bounds.v_max, dt).transpose(1, 2, 0)
     if not np.isfinite(trajectories).all():
         raise ValueError("scenario tree states must be finite")
     rates.flags.writeable = False
     trajectories.flags.writeable = False
-    return ScenarioTree(rates=rates, trajectories=trajectories, speed=bounds.v_max)
+    return ScenarioTree(rates=rates, trajectories=trajectories)
 
 
 def scenario_reach(
@@ -157,9 +167,10 @@ def scenario_reach(
     """Discs holding every scenario of a tree without building it: (centres (N+1, 2), radii (N+1,)).
 
     Contract: every trajectory of `build_scenario_tree` with the same
-    arguments lies within `radii[k]` of `centres[k]` at stage k, up to the
-    rounding of the two rollouts.  `centres` is the nominal rollout.  A
-    scenario's heading at stage i differs from the nominal one by at most
+    arguments lies within `radii[k]` of `centres[k]` at stage k, up to
+    rounding.  `centres` is the tree's all-nominal scenario, by the same
+    `_rollout`.  A scenario's heading at stage i differs from the nominal
+    one by at most
     dsigma_i = dt * sum_{l < min(i, N_r)} max(u_max - nom_l, nom_l - u_min),
     so its step i lies within dt * v * min(dsigma_i, 2) of the nominal step
     (the chord between two headings is at most the arc and the diameter),
@@ -167,17 +178,8 @@ def scenario_reach(
     """
     nominal = np.asarray(nominal_rates, dtype=float)
     n = len(nominal)
-    heading = np.empty(n + 1)  # each sum as in _accumulate, so the centres are the tree's nominal scenario
-    heading[0] = intruder_now.heading
-    np.multiply(dt, nominal, out=heading[1:])
-    np.add.accumulate(heading, out=heading)
     reach = dt * bounds.v_max
-    xy = np.empty((2, n + 1))
-    xy[:, 0] = intruder_now.x, intruder_now.y
-    np.cos(heading[:n], out=xy[0, 1:])
-    np.sin(heading[:n], out=xy[1, 1:])
-    np.multiply(reach, xy[:, 1:], out=xy[:, 1:])
-    np.add.accumulate(xy, axis=1, out=xy)
+    xy = _rollout(intruder_now, nominal[None], reach, dt)[:2, 0]
 
     spread = np.zeros(n)  # dt * the largest |rate - nominal| of any branch, zero past the robust horizon
     robust = nominal[:robust_horizon]

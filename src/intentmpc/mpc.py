@@ -4,7 +4,8 @@ The ownship's controls over the horizon are the only decision variables
 (single shooting): states are eliminated by rolling the Euler model forward,
 so the NLP has box bounds on controls plus one separation inequality per
 intruder scenario and stage.  Four controller modes share the transcription
-and differ only in how the intruder is predicted, all in `_prediction_tree`:
+and differ only in how the intruder is predicted, and `_prediction` is the
+one place where a mode becomes a prediction:
 
 * scenario-tree: branch over {upper, lower, nominal} intruder rates for the
   robust horizon (the robust controller);
@@ -29,11 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dubins import ControlSchedule, Pose
+from .dubins import TWO_PI, ControlSchedule, Pose
 from .dynamics import ControlBounds, ControlInput, ScenarioTree, build_scenario_tree, scenario_reach
 from .solver import NlpProblem, SolverConfig, SolverResult, solve
-
-TWO_PI = 2.0 * math.pi
 
 # The screen's allowance for rounding, relative to the numbers compared and in metres.
 SCREEN_MARGIN_REL = 1e-9
@@ -248,15 +247,6 @@ def _prediction(t: int, intent_schedule: ControlSchedule, config: MpcConfig) -> 
     return nominal, config.robust_horizon if config.mode is MpcMode.SCENARIO_TREE else 0
 
 
-def _prediction_tree(intruder_now: Pose, t: int, intent_schedule: ControlSchedule, config: MpcConfig) -> ScenarioTree:
-    """The intruder prediction of the configured mode, from absolute step t."""
-    n = config.horizon
-    if config.mode is MpcMode.UNCONSTRAINED:
-        return ScenarioTree(rates=np.empty((0, n)), trajectories=np.empty((0, n + 1, 3)), speed=config.intruder_bounds.v_max)
-    nominal, robust_horizon = _prediction(t, intent_schedule, config)
-    return build_scenario_tree(intruder_now, nominal, robust_horizon, config.intruder_bounds, config.dt)
-
-
 def _rows_can_bind(own_now: Pose, intruder_now: Pose, t: int, intent_schedule: ControlSchedule, config: MpcConfig) -> bool:
     """Whether some separation row of the configured prediction can be nonnegative anywhere in the control box.
 
@@ -289,7 +279,10 @@ def build_problem(
     if t < 0:
         raise ValueError(f"absolute step must be >= 0, got {t}")
     n = config.horizon
-    tree = _prediction_tree(intruder_now, t, intent_schedule, config)
+    if config.mode is MpcMode.UNCONSTRAINED:
+        tree = ScenarioTree(rates=np.empty((0, n)), trajectories=np.empty((0, n + 1, 3)))
+    else:
+        tree = build_scenario_tree(intruder_now, *_prediction(t, intent_schedule, config), config.intruder_bounds, config.dt)
     shoot = _SingleShooting(own_now, tree, config)
 
     ob = config.own_bounds

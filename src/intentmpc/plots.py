@@ -222,10 +222,10 @@ def plot_controls(trace: SimTrace) -> str:
 
 def plot_monte_carlo_trajectories(report: MonteCarloReport) -> str:
     """All realizations thin, the nominal run black."""
-    traces = [o.trace for o in report.runs if o.trace.steps]
+    traces, nominal = [o.trace for o in report.runs if o.trace.steps], report.nominal.trace
     all_pts = [_own_points(t) for t in traces] + [_intruder_points(t) for t in traces]
-    all_pts.append(_own_points(report.nominal))
-    all_pts.append(_intruder_points(report.nominal))
+    all_pts.append(_own_points(nominal))
+    all_pts.append(_intruder_points(nominal))
     x_lo, x_hi, y_lo, y_hi = _bounds_of(all_pts)
     frame = Frame(x_lo, x_hi, y_lo, y_hi, equal_aspect=True)
     target = report.spec.mpc.target
@@ -234,8 +234,8 @@ def plot_monte_carlo_trajectories(report: MonteCarloReport) -> str:
     for t in traces:
         body.append(_polyline(frame, _intruder_points(t), RED, 0.8, opacity=0.5))
         body.append(_polyline(frame, _own_points(t), BLUE, 0.8, opacity=0.5))
-    body.append(_polyline(frame, _intruder_points(report.nominal), BLACK, 2.0))
-    body.append(_polyline(frame, _own_points(report.nominal), BLACK, 2.0))
+    body.append(_polyline(frame, _intruder_points(nominal), BLACK, 2.0))
+    body.append(_polyline(frame, _own_points(nominal), BLACK, 2.0))
     body.append(_text(WIDTH - 220, 36, f"{len(traces)} disturbed runs", color=BLUE))
     body.append(_text(WIDTH - 220, 52, "nominal in black", color=BLACK))
     return _document("Monte-Carlo trajectories", body)
@@ -243,16 +243,16 @@ def plot_monte_carlo_trajectories(report: MonteCarloReport) -> str:
 
 def plot_monte_carlo_separation(report: MonteCarloReport) -> str:
     """Separation curves of every run with the floor dashed; nominal black."""
-    traces = [o.trace for o in report.runs if o.trace.steps]
+    traces, nominal = [o.trace for o in report.runs if o.trace.steps], report.nominal.trace
     rho = report.spec.mpc.min_separation
     hi = rho
-    for t in traces + [report.nominal]:
+    for t in traces + [nominal]:
         hi = max(hi, max(s.separation for s in t.steps))
-    t_hi = max(len(t.steps) for t in traces + [report.nominal]) - 1
+    t_hi = max(len(t.steps) for t in traces + [nominal]) - 1
     frame = Frame(0.0, float(t_hi), 0.0, hi * 1.05)
     body = _axes(frame, "time [s]", "separation [m]")
     body.append(_polyline(frame, [(frame.x_lo, rho), (frame.x_hi, rho)], RED, 1.5, dashed=True))
     for t in traces:
         body.append(_polyline(frame, [(s.t, s.separation) for s in t.steps], BLUE, 0.8, opacity=0.5))
-    body.append(_polyline(frame, [(s.t, s.separation) for s in report.nominal.steps], BLACK, 2.0))
+    body.append(_polyline(frame, [(s.t, s.separation) for s in nominal.steps], BLACK, 2.0))
     return _document("Monte-Carlo separation", body)

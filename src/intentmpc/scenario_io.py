@@ -89,22 +89,10 @@ def _integer(doc, path: str) -> int:
     return doc
 
 
-def _pose(doc, path: str) -> Pose:
-    if not isinstance(doc, list) or len(doc) != 3:
-        raise ScenarioError(path, "expected [x, y, heading]")
-    return Pose(*(_number(v, f"{path}[{i}]") for i, v in enumerate(doc)))
-
-
-def _pair(doc, path: str) -> tuple[float, float]:
-    if not isinstance(doc, list) or len(doc) != 2:
-        raise ScenarioError(path, "expected [min, max]")
-    return _number(doc[0], f"{path}[0]"), _number(doc[1], f"{path}[1]")
-
-
-def _triple(doc, path: str) -> tuple[float, float, float]:
-    if not isinstance(doc, list) or len(doc) != 3:
-        raise ScenarioError(path, "expected three diagonal entries")
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(doc))  # type: ignore[return-value]
+def _numbers(doc, path: str, count: int, form: str) -> tuple[float, ...]:
+    if not isinstance(doc, list) or len(doc) != count:
+        raise ScenarioError(path, f"expected {form}")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(doc))
 
 
 def _build(cls, path: str, **fields):
@@ -117,18 +105,14 @@ def _build(cls, path: str, **fields):
 
 def _bounds(doc, path: str) -> ControlBounds:
     _require_keys(doc, path, ("v", "u"))
-    v = _pair(doc["v"], f"{path}.v")
-    u = _pair(doc["u"], f"{path}.u")
+    v, u = (_numbers(doc[key], f"{path}.{key}", 2, "[min, max]") for key in ("v", "u"))
     return _build(ControlBounds, path, v_min=v[0], v_max=v[1], u_min=u[0], u_max=u[1])
 
 
 def _aircraft(doc, path: str) -> tuple[Pose, Pose, ControlBounds]:
     _require_keys(doc, path, ("start", "target", "bounds"))
-    return (
-        _pose(doc["start"], f"{path}.start"),
-        _pose(doc["target"], f"{path}.target"),
-        _bounds(doc["bounds"], f"{path}.bounds"),
-    )
+    start, target = (Pose(*_numbers(doc[key], f"{path}.{key}", 3, "[x, y, heading]")) for key in ("start", "target"))
+    return start, target, _bounds(doc["bounds"], f"{path}.bounds")
 
 
 def parse_scenario(doc: dict) -> ScenarioSpec:
@@ -142,7 +126,8 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
     n = _integer(mpc["N"], "mpc.N")
     n_r = _integer(mpc["N_r"], "mpc.N_r")
     rho = _number(mpc["rho"], "mpc.rho")
-    q, qf, r = _triple(mpc["Q"], "mpc.Q"), _triple(mpc["Qf"], "mpc.Qf"), _number(mpc["R"], "mpc.R")
+    q, qf = (_numbers(mpc[key], f"mpc.{key}", 3, "three diagonal entries") for key in ("Q", "Qf"))
+    r = _number(mpc["R"], "mpc.R")
     mode_name = mpc["mode"]
     if not isinstance(mode_name, str) or mode_name not in MODES:
         raise ScenarioError("mpc.mode", f"expected one of {sorted(MODES)}, got {mode_name!r}")
@@ -259,7 +244,7 @@ def report_doc(report: MonteCarloReport) -> dict:
     agg = report.aggregate
     return {
         "runs": runs,
-        "nominal": summary_doc(report.nominal),
+        "nominal": summary_doc(report.nominal.trace),
         "aggregate": {
             "min_min_separation": agg.min_min_separation,
             "violation_runs": agg.violation_runs,

@@ -230,10 +230,40 @@ class MonteCarloAggregate:
 
 @dataclass
 class MonteCarloReport:
+    """The seeded runs and the disturbance-free nominal run, each as its outcome."""
+
     spec: ScenarioSpec
     runs: list[RunOutcome]
-    nominal: SimTrace
-    aggregate: MonteCarloAggregate
+    nominal: RunOutcome
+
+    @property
+    def aggregate(self) -> MonteCarloAggregate:
+        """Metrics over the completed runs; the terminal spread is measured at
+        the last step index common to every one and the nominal run, against
+        the nominal intruder position, so the nominal run must have completed."""
+        complete = [o.trace for o in self.runs if o.ok and o.trace.steps]
+        if not complete:
+            raise RuntimeError("no run completed; cannot aggregate")
+        if not self.nominal.ok:
+            raise RuntimeError(f"the nominal run failed ({self.nominal.error}); cannot aggregate")
+        per_run = [metrics(t) for t in complete]
+        nominal = self.nominal.trace
+
+        common = min(min(len(t.steps) for t in complete), len(nominal.steps)) - 1
+        ref = nominal.steps[common].intruder
+        deviations = [separation(t.steps[common].intruder, ref) for t in complete]
+
+        lengths = [m.path_length for m in per_run]
+        return MonteCarloAggregate(
+            min_min_separation=min(m.min_separation for m in per_run),
+            violation_runs=sum(1 for m in per_run if m.violation_stages > 0),
+            path_length_min=min(lengths),
+            path_length_mean=sum(lengths) / len(lengths),
+            path_length_max=max(lengths),
+            terminal_spread_max=max(deviations),
+            terminal_spread_mean=sum(deviations) / len(deviations),
+            common_step_index=common,
+        )
 
 
 def _run_for_report(spec: ScenarioSpec) -> RunOutcome:
@@ -246,47 +276,15 @@ def _run_for_report(spec: ScenarioSpec) -> RunOutcome:
 def run_monte_carlo(spec: ScenarioSpec, runs: int, max_workers: int = 1) -> MonteCarloReport:
     """Run seeded repetitions plus the disturbance-free nominal reference.
 
-    Run i, at list position i, uses seed rng_seed + i.  The terminal spread
-    is measured at the last step index common to every run, against the
-    nominal intruder position.
+    Run i, at list position i, uses seed rng_seed + i.  The nominal run is
+    the first task, so an abort there is caught and recorded like any run's.
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    specs = [replace(spec, rng_seed=spec.rng_seed + i) for i in range(runs)]
-    nominal = run_closed_loop(replace(spec, disturbance=Disturbance()))
-
+    specs = [replace(spec, disturbance=Disturbance())] + [replace(spec, rng_seed=spec.rng_seed + i) for i in range(runs)]
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             outcomes = list(pool.map(_run_for_report, specs))
     else:
         outcomes = [_run_for_report(s) for s in specs]
-
-    return MonteCarloReport(
-        spec=spec,
-        runs=outcomes,
-        nominal=nominal,
-        aggregate=_aggregate(outcomes, nominal),
-    )
-
-
-def _aggregate(outcomes: list[RunOutcome], nominal: SimTrace) -> MonteCarloAggregate:
-    complete = [o.trace for o in outcomes if o.ok and o.trace.steps]
-    if not complete:
-        raise RuntimeError("no run completed; cannot aggregate")
-    per_run = [metrics(t) for t in complete]
-
-    common = min(min(len(t.steps) for t in complete), len(nominal.steps)) - 1
-    ref = nominal.steps[common].intruder
-    deviations = [separation(t.steps[common].intruder, ref) for t in complete]
-
-    lengths = [m.path_length for m in per_run]
-    return MonteCarloAggregate(
-        min_min_separation=min(m.min_separation for m in per_run),
-        violation_runs=sum(1 for m in per_run if m.violation_stages > 0),
-        path_length_min=min(lengths),
-        path_length_mean=sum(lengths) / len(lengths),
-        path_length_max=max(lengths),
-        terminal_spread_max=max(deviations),
-        terminal_spread_mean=sum(deviations) / len(deviations),
-        common_step_index=common,
-    )
+    return MonteCarloReport(spec=spec, runs=outcomes[1:], nominal=outcomes[0])

@@ -9,7 +9,6 @@ Everything is deterministic for fixed inputs.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -210,10 +209,7 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
     gtol = INNER_GTOL_FRACTION * config.optimality_tol
 
     def objective(zz: np.ndarray) -> float:
-        f = float(problem.objective(zz))
-        if not math.isfinite(f):
-            raise NumericalDomainError("objective", zz, np.array([True]))
-        return f
+        return float(_checked("objective", zz, problem.objective(zz)))
 
     def constraints(zz: np.ndarray) -> np.ndarray:
         return _checked("constraints", zz, problem.constraints(zz))
@@ -271,7 +267,7 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
         )
         if converged:
             return candidate
-        if best is None or _better(candidate, best):
+        if best is None or _rank(candidate) < _rank(best):
             best = candidate
 
         lam, lam_sq = lam_next, np.dot(lam_next, lam_next)
@@ -289,13 +285,7 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
     return replace(best, outer_iters=outer_done, inner_iters_total=inner_total)
 
 
-def _better(a: SolverResult, b: SolverResult) -> bool:
-    a_feas = a.max_violation <= CONSTRAINT_TOL
-    b_feas = b.max_violation <= CONSTRAINT_TOL
-    if a_feas != b_feas:
-        return a_feas
-    if a_feas:
-        return a.objective_value < b.objective_value
-    if a.max_violation != b.max_violation:
-        return a.max_violation < b.max_violation
-    return a.objective_value < b.objective_value
+def _rank(r: SolverResult) -> tuple[bool, float, float]:
+    """Sort key of the iterates: feasible first, then the least violation, then the least objective."""
+    infeasible = r.max_violation > CONSTRAINT_TOL
+    return infeasible, r.max_violation if infeasible else 0.0, r.objective_value

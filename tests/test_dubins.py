@@ -168,14 +168,14 @@ class TestControlSchedule:
         path = solve_word(Pose(0, 0, 0), Pose(0, 200, math.pi), 100.0, DubinsWord.LSL)
         sched = control_schedule(path, 10.0, 1.0)
         # All fully-in-path steps turn at exactly speed/radius.
-        assert sched.horizon_steps == math.ceil(path.total_length / 10.0)
+        assert len(sched.angular_rates) == math.ceil(path.total_length / 10.0)
         for rate in sched.angular_rates[:-1]:
             assert rate == pytest.approx(0.1, rel=1e-12)
 
     def test_straight_path_zero_rates(self):
         path = solve_word(Pose(0, 0, 0), Pose(200, 0, 0), 100.0, DubinsWord.LSL)
         sched = control_schedule(path, 10.0, 1.0)
-        assert sched.horizon_steps == 20
+        assert len(sched.angular_rates) == 20
         assert all(r == 0.0 for r in sched.angular_rates)
 
     def test_step_rates_match_sampled_headings(self):
@@ -185,7 +185,7 @@ class TestControlSchedule:
         assert path is not None
         speed, dt = 10.0, 1.0
         sched = control_schedule(path, speed, dt)
-        for k in range(sched.horizon_steps):
+        for k in range(len(sched.angular_rates)):
             s0 = min(k * speed * dt, path.total_length)
             s1 = min((k + 1) * speed * dt, path.total_length)
             expected = (sample_pose(path, s1).heading - sample_pose(path, s0).heading) / dt
@@ -210,16 +210,30 @@ class TestControlSchedule:
             path = shortest_path(Pose(*s), Pose(*g), RADIUS_INTRUDER)
             sched = control_schedule(path, speed, dt)
             heading = s[2]
-            for k in range(sched.horizon_steps + 1):
+            for k in range(len(sched.angular_rates) + 1):
                 expected = sample_pose(path, min(k * speed * dt, path.total_length)).heading
                 assert heading == pytest.approx(expected, abs=1e-9)
-                if k < sched.horizon_steps:
+                if k < len(sched.angular_rates):
                     heading += dt * sched.angular_rates[k]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.builds(Pose, st.floats(-500.0, 500.0), st.floats(-500.0, 500.0), st.floats(-10.0, 10.0)),
+        st.builds(Pose, st.floats(-500.0, 500.0), st.floats(-500.0, 500.0), st.floats(-10.0, 10.0)),
+        st.floats(10.0, 300.0),
+        st.floats(5.0, 40.0),
+        st.floats(0.25, 2.0),
+    )
+    def test_schedule_integrates_to_the_end_heading(self, start, goal, radius, speed, dt):
+        heading = start.heading
+        for rate in control_schedule(shortest_path(start, goal, radius), speed, dt).angular_rates:
+            heading += dt * rate
+        assert abs(math.remainder(heading - goal.heading, 2.0 * math.pi)) <= 1e-9
 
     def test_past_the_end_reads_zero(self):
         path = solve_word(Pose(0, 0, 0), Pose(200, 0, 0), 100.0, DubinsWord.LSL)
         sched = control_schedule(path, 10.0, 1.0)
-        assert sched.rate_at(sched.horizon_steps) == 0.0
-        assert sched.rate_at(sched.horizon_steps + 500) == 0.0
+        assert sched.rate_at(len(sched.angular_rates)) == 0.0
+        assert sched.rate_at(len(sched.angular_rates) + 500) == 0.0
         with pytest.raises(ValueError):
             sched.rate_at(-1)

@@ -121,7 +121,7 @@ class TestScenarioTree:
         # Scenario 27 is all-nominal: straight throughout.
         assert (tree.rates[26] == 0.0).all()
         # Hand rollout of scenario 1 agrees with the stored trajectory.
-        expected = rollout(Pose(0, 0, 0), [ControlInput(tree.speed, u) for u in rates], 1.0)
+        expected = rollout(Pose(0, 0, 0), [ControlInput(INTRUDER_BOUNDS.v_max, u) for u in rates], 1.0)
         assert np.array_equal(tree.trajectories[0], [(p.x, p.y, p.heading) for p in expected])
 
     def test_covers_branch_tuples_exactly_once(self):
@@ -152,7 +152,8 @@ class TestScenarioTree:
 
     def test_speeds_pinned_at_max(self):
         tree = build_scenario_tree(Pose(0, 0, 0), np.zeros(8), 2, INTRUDER_BOUNDS, 1.0)
-        assert tree.speed == INTRUDER_BOUNDS.v_max
+        steps = np.diff(tree.trajectories[..., :2], axis=1)
+        assert np.allclose(np.hypot(steps[..., 0], steps[..., 1]), INTRUDER_BOUNDS.v_max, rtol=1e-12)
 
     def test_length_builds_no_poses(self, monkeypatch):
         tree = build_scenario_tree(Pose(0, 0, 0), np.zeros(30), 3, INTRUDER_BOUNDS, 1.0)
@@ -209,7 +210,7 @@ class TestTreeMatchesSequentialReference:
         tree = build_scenario_tree(start, nominal, robust_horizon, bounds, dt)
         assert tree.trajectories.shape == (3**robust_horizon, len(nominal) + 1, 3)
         for j, rates in enumerate(tree.rates.tolist()):
-            poses = rollout(start, [ControlInput(tree.speed, u) for u in rates], dt)
+            poses = rollout(start, [ControlInput(bounds.v_max, u) for u in rates], dt)
             assert np.array_equal(tree.trajectories[j], [(p.x, p.y, p.heading) for p in poses])
 
     @settings(max_examples=80, deadline=None)

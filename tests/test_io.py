@@ -4,7 +4,7 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import intentmpc.sim as sim_module
 from intentmpc import Disturbance, MpcConfig, MpcMode, Pose, ScenarioSpec, run_closed_loop, run_monte_carlo, separation
 from intentmpc import cli
 from intentmpc.cli import main
@@ -34,6 +35,7 @@ from intentmpc.scenario_io import (
     summary_doc,
     trace_to_csv,
 )
+from intentmpc.sim import SimulationAborted
 from test_sim import fail_at_step
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -86,8 +88,6 @@ def quick_trace():
 
 @pytest.fixture(scope="module")
 def quick_mc_report():
-    from dataclasses import replace
-
     deg = math.pi / 180.0
     spec = parse_scenario(quick_doc())
     return run_monte_carlo(replace(spec, disturbance=Disturbance("uniform", -0.5 * deg, 0.5 * deg)), runs=2)
@@ -341,6 +341,34 @@ class TestCli:
         assert (out_a / "nominal.csv").exists()
         assert (out_a / "overlay_traj.svg").exists() and (out_a / "overlay_distance.svg").exists()
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+    def test_montecarlo_nominal_abort_exits_3_with_partial_outputs(self, tmp_path, monkeypatch, capsys):
+        real = sim_module.run_closed_loop
+
+        def nominal_aborts(spec):
+            if spec.disturbance.kind == "none":
+                raise SimulationAborted("solver domain error at step 2: boom", real(replace(spec, max_steps=2)))
+            return real(spec)
+
+        monkeypatch.setattr(sim_module, "run_closed_loop", nominal_aborts)
+        scenario = tmp_path / "noisy.json"
+        scenario.write_text(json.dumps(quick_doc(disturbance={"kind": "uniform", "lo_deg_s": -0.5, "hi_deg_s": 0.5})))
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--scenario", str(scenario), "--out", str(out), "--runs", "2"]) == 3
+        assert "nominal run failed: solver domain error at step 2" in capsys.readouterr().err
+        assert len((out / "nominal.csv").read_text().splitlines()) == 3  # header, steps 0 and 1
+        assert (out / "run_000.csv").exists() and (out / "run_001.csv").exists()
+        assert not (out / "report.json").exists()
+
+    def test_montecarlo_without_a_completed_run_exits_3_with_the_csvs(self, quick_path, tmp_path, monkeypatch, capsys):
+        fail_at_step(monkeypatch, 2)
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--scenario", str(quick_path), "--out", str(out), "--runs", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "run 0 failed" in err and "run 1 failed" in err and "nominal run failed" in err
+        for name in ("run_000.csv", "run_001.csv", "nominal.csv"):
+            assert len((out / name).read_text().splitlines()) == 3
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("runs", ["0", "-3"])
     def test_montecarlo_without_runs_exits_2(self, quick_path, tmp_path, capsys, runs):

@@ -20,13 +20,14 @@ from intentmpc import (
     Pose,
     build_problem,
     control_schedule,
+    separation,
     shortest_path,
     solve_step,
 )
 from intentmpc.mpc import cold_start, shift_warm_start, wrap_angles
 from intentmpc.scenario_io import load_scenario
 from intentmpc.sim import intruder_plan
-from intentmpc.solver import SolverConfig, solve
+from intentmpc.solver import SolverConfig, SolverResult, _rank, solve
 from oracle_derivatives import check_gradient, jacobian
 from oracle_dynamics import rollout
 
@@ -345,6 +346,27 @@ def with_error(problem, name, row, entry):
     return replace(problem, **{name: wrong})
 
 
+def remembering_rows(problem):
+    """The problem with `constraints` and J^T w computed once per argument and
+    then read back: the oracle's Jacobian rows and FD Jacobian at one z serve
+    every mutation that leaves them unchanged, and the rest build on them."""
+    memo = {}
+
+    def remember(fn):
+        def remembered(z, *w):
+            key = (fn.__name__, z.tobytes(), *(x.tobytes() for x in w))
+            if key not in memo:
+                memo[key] = np.array(fn(z, *w), dtype=float)
+                memo[key].flags.writeable = False
+            return memo[key]
+
+        return remembered
+
+    return replace(
+        problem, constraints=remember(problem.constraints), constraints_weighted_grad=remember(problem.constraints_weighted_grad)
+    )
+
+
 def unresolved(values, grads, z):
     """Per function and entry, whether the FD roundoff check_gradient forgives,
     eps * |f| / h_i, exceeds 4e-5 of the gradient's magnitude: there a 1e-4
@@ -374,7 +396,7 @@ class TestCheckGradientResolution:
 
     def test_error_in_any_entry_is_flagged_on_the_crossing(self):
         spec = load_scenario(SCENARIOS / "reference_crossing.json")
-        problem, _ = build_problem(spec.own_start, spec.intruder_start, 0, intruder_plan(spec)[1], spec.mpc)
+        problem = remembering_rows(build_problem(spec.own_start, spec.intruder_start, 0, intruder_plan(spec)[1], spec.mpc)[0])
         z = np.random.default_rng(99).uniform(problem.lower, problem.upper)
         assert check_gradient(problem, z) <= 1e-5
         # Every entry of the objective's and every row's gradient is resolved here.
@@ -442,6 +464,22 @@ class TestModesShareTheTranscription:
         classic, _ = build_problem(own, intruder, t, crossing_schedule(), replace(cfg, mode=MpcMode.CLASSIC))
         z = np.random.default_rng(seed).uniform(tree.lower, tree.upper)
         assert tree.constraints(z).tobytes() == classic.constraints(z).tobytes()
+
+
+class TestSolveKeepsTheBest:
+    @settings(max_examples=100, deadline=None)
+    @given(encounters())
+    def test_never_ranked_after_the_projected_start(self, case):
+        # A start already within rho has a stage-0 row no z can change; see ROADMAP item 7.
+        cfg, own, intruder, t, seed = case
+        assume(separation(own, intruder) > cfg.min_separation)
+        problem, _ = build_problem(own, intruder, t, crossing_schedule(), cfg)
+        lo, hi = problem.lower, problem.upper
+        z0 = np.random.default_rng(seed).uniform(lo - (hi - lo), hi + (hi - lo))
+        start = problem.project(z0)
+        violation = float(np.max(problem.constraints(start), initial=0.0))
+        ranked = SolverResult(start, float(problem.objective(start)), violation, 0.0, 0, 0, "start")
+        assert not _rank(ranked) < _rank(solve(problem, z0, cfg.solver))
 
 
 class TestSolveStep:

@@ -314,3 +314,19 @@ class TestMonteCarlo:
         assert [o.ok for o in report.runs] == [True, False, True]
         assert report.runs[1].error is not None
         assert report.aggregate.min_min_separation > 0.0
+
+    def test_nominal_abort_is_recorded_and_blocks_the_aggregate(self, monkeypatch):
+        real = sim_module.run_closed_loop
+
+        def nominal_aborts(s):
+            if s.disturbance.kind == "none":
+                raise SimulationAborted("boom", real(replace(s, max_steps=2)))
+            return real(s)
+
+        monkeypatch.setattr(sim_module, "run_closed_loop", nominal_aborts)
+        deg = math.pi / 180.0
+        report = sim_module.run_monte_carlo(quiet_spec(disturbance=Disturbance("uniform", -0.5 * deg, 0.5 * deg)), runs=2)
+        assert [o.ok for o in report.runs] == [True, True]
+        assert not report.nominal.ok and len(report.nominal.trace.steps) == 2
+        with pytest.raises(RuntimeError, match="nominal run failed"):
+            report.aggregate
