@@ -29,14 +29,15 @@ def main() -> None:
     print(f"finished in {time.perf_counter() - start:.0f}s\n")
 
     print("run  seed        min sep   arrived")
-    for index, outcome in enumerate(report.runs):
-        m = metrics(outcome.trace)
-        print(f"{index:3d}  {outcome.trace.spec.rng_seed:<10d} {m.min_separation:8.2f}   {outcome.trace.arrived}")
+    for index, trace in enumerate(report.runs):
+        m = metrics(trace)
+        print(f"{index:3d}  {trace.spec.rng_seed:<10d} {m.min_separation:8.2f}   {trace.arrived}")
     agg = report.aggregate
-    print(f"\nworst min separation over runs: {agg.min_min_separation:.2f} m")
-    print(f"runs violating the floor:       {agg.violation_runs}")
-    print(f"intruder terminal spread:       max {agg.terminal_spread_max:.1f} m, "
-          f"mean {agg.terminal_spread_mean:.1f} m (at step {agg.common_step_index})")
+    spread = agg["terminal_spread"]
+    print(f"\nworst min separation over runs: {agg['min_min_separation']:.2f} m")
+    print(f"runs violating the floor:       {agg['violation_runs']}")
+    print(f"intruder terminal spread:       max {spread['max']:.1f} m, "
+          f"mean {spread['mean']:.1f} m (at step {spread['common_step_index']})")
 
     OUT.mkdir(parents=True, exist_ok=True)
     (OUT / "overlay_traj.svg").write_text(plot_monte_carlo_trajectories(report))

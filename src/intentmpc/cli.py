@@ -1,12 +1,13 @@
 """Command-line entry points: simulate, montecarlo, dubins.
 
 Exit codes: 0 success, 2 invalid scenario or arguments (stderr names the
-offending JSON path), 3 solver numerical failure (partial outputs are still
-written).  INTENT_MPC_THREADS caps Monte-Carlo parallelism (0 = one worker
-per CPU this process may run on; unset = serial).  With two or more workers,
-also set OPENBLAS_NUM_THREADS=1: otherwise the BLAS threads of every worker
-spin between calls, outnumber the cores, and the pool runs slower than one
-process.
+offending JSON path or option; an unreadable scenario file or an --out that
+is a file exits 2 before any run), 3 solver numerical failure (partial
+outputs are still written).  INTENT_MPC_THREADS caps Monte-Carlo parallelism
+(0 = one worker per CPU this process may run on; unset = serial).  With two
+or more workers, also set OPENBLAS_NUM_THREADS=1: otherwise the BLAS threads
+of every worker spin between calls, outnumber the cores, and the pool runs
+slower than one process.
 """
 
 from __future__ import annotations
@@ -49,15 +50,21 @@ def _monte_carlo_workers() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _load_spec(args):
+def _inputs(args):
     if args.seed is not None and args.seed < 0:
         raise argparse.ArgumentTypeError(f"--seed must be >= 0, got {args.seed}")
-    spec = load_scenario(args.scenario)
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise argparse.ArgumentTypeError(f"--out {out} exists and is not a directory")
+    try:
+        spec = load_scenario(args.scenario)
+    except (OSError, UnicodeDecodeError) as err:
+        raise argparse.ArgumentTypeError(f"--scenario {args.scenario} cannot be read: {err}") from err
     if args.mode is not None:
         spec = replace(spec, mpc=replace(spec.mpc, mode=MODES[args.mode]))
     if args.seed is not None:
         spec = replace(spec, rng_seed=args.seed)
-    return spec
+    return spec, out
 
 
 def _write(path: Path, content: str) -> None:
@@ -75,8 +82,7 @@ def _write_run_outputs(out: Path, trace) -> None:
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_spec(args)
-    out = Path(args.out)
+    spec, out = _inputs(args)
     try:
         trace = run_closed_loop(spec)
     except SimulationAborted as err:
@@ -92,20 +98,19 @@ def cmd_simulate(args) -> int:
 def cmd_montecarlo(args) -> int:
     if args.runs < 1:
         raise argparse.ArgumentTypeError(f"--runs must be at least 1, got {args.runs}")
-    spec = _load_spec(args)
-    out = Path(args.out)
+    spec, out = _inputs(args)
     report = run_monte_carlo(spec, runs=args.runs, max_workers=_monte_carlo_workers())
     failures = 0
-    for index, outcome in enumerate(report.runs):
-        if outcome.trace.steps:
-            _write(out / f"run_{index:03d}.csv", trace_to_csv(outcome.trace))
-        if outcome.error is not None:
+    for index, trace in enumerate(report.runs):
+        if trace.steps:
+            _write(out / f"run_{index:03d}.csv", trace_to_csv(trace))
+        if trace.error is not None:
             failures += 1
-            print(f"run {index} failed: {outcome.error}", file=sys.stderr)
-    if report.nominal.trace.steps:
-        _write(out / "nominal.csv", trace_to_csv(report.nominal.trace))
+            print(f"run {index} failed: {trace.error}", file=sys.stderr)
+    if report.nominal.steps:
+        _write(out / "nominal.csv", trace_to_csv(report.nominal))
     # The report and overlays need the whole nominal run and at least one completed run.
-    if not report.nominal.ok:
+    if report.nominal.error is not None:
         print(f"nominal run failed: {report.nominal.error}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
     if failures == len(report.runs):
@@ -168,9 +173,6 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except ScenarioError as err:
         print(f"invalid scenario: {err}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FileNotFoundError as err:
-        print(f"cannot read input: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -18,8 +18,9 @@ TWO_PI = 2.0 * math.pi
 
 
 def mod2pi(angle: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    return angle % TWO_PI
+    """Reduce an angle to [0, 2*pi): a tiny negative angle, which % rounds up to 2*pi, gives 0."""
+    reduced = angle % TWO_PI
+    return 0.0 if reduced == TWO_PI else reduced
 
 
 @dataclass(frozen=True)

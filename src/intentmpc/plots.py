@@ -222,7 +222,7 @@ def plot_controls(trace: SimTrace) -> str:
 
 def plot_monte_carlo_trajectories(report: MonteCarloReport) -> str:
     """All realizations thin, the nominal run black."""
-    traces, nominal = [o.trace for o in report.runs if o.trace.steps], report.nominal.trace
+    traces, nominal = [t for t in report.runs if t.steps], report.nominal
     all_pts = [_own_points(t) for t in traces] + [_intruder_points(t) for t in traces]
     all_pts.append(_own_points(nominal))
     all_pts.append(_intruder_points(nominal))
@@ -243,7 +243,7 @@ def plot_monte_carlo_trajectories(report: MonteCarloReport) -> str:
 
 def plot_monte_carlo_separation(report: MonteCarloReport) -> str:
     """Separation curves of every run with the floor dashed; nominal black."""
-    traces, nominal = [o.trace for o in report.runs if o.trace.steps], report.nominal.trace
+    traces, nominal = [t for t in report.runs if t.steps], report.nominal
     rho = report.spec.mpc.min_separation
     hi = rho
     for t in traces + [nominal]:

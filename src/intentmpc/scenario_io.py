@@ -234,32 +234,14 @@ def summary_doc(trace: SimTrace) -> dict:
 def report_doc(report: MonteCarloReport) -> dict:
     """Deterministic Monte-Carlo report document."""
     runs = []
-    for index, outcome in enumerate(report.runs):
-        entry: dict = {"index": index, "seed": outcome.trace.spec.rng_seed}
-        if outcome.trace.steps:
-            entry.update(summary_doc(outcome.trace))
-        if outcome.error is not None:
-            entry["error"] = outcome.error
+    for index, trace in enumerate(report.runs):
+        entry: dict = {"index": index, "seed": trace.spec.rng_seed}
+        if trace.steps:
+            entry.update(summary_doc(trace))
+        if trace.error is not None:
+            entry["error"] = trace.error
         runs.append(entry)
-    agg = report.aggregate
-    return {
-        "runs": runs,
-        "nominal": summary_doc(report.nominal.trace),
-        "aggregate": {
-            "min_min_separation": agg.min_min_separation,
-            "violation_runs": agg.violation_runs,
-            "path_length": {
-                "min": agg.path_length_min,
-                "mean": agg.path_length_mean,
-                "max": agg.path_length_max,
-            },
-            "terminal_spread": {
-                "max": agg.terminal_spread_max,
-                "mean": agg.terminal_spread_mean,
-                "common_step_index": agg.common_step_index,
-            },
-        },
-    }
+    return {"runs": runs, "nominal": summary_doc(report.nominal), "aggregate": report.aggregate}
 
 
 def dump_json(doc: dict) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dubins import ControlSchedule, DubinsPath, Pose, control_schedule, shortest_path
+from .dubins import ControlSchedule, Pose, control_schedule, shortest_path
 from .dynamics import ControlInput, separation, step
 from .mpc import MpcConfig, MpcSolution, solve_step
 from .solver import NumericalDomainError, STATUS_INFEASIBLE
@@ -88,32 +88,35 @@ class SimStep:
 
 @dataclass
 class SimTrace:
+    """One encounter's steps; `error` is the abort message, None if the run ended normally."""
+
     spec: ScenarioSpec
     steps: list[SimStep]
     own_final: Pose
     intruder_final: Pose
     arrived: bool
     terminal_status: str
+    error: str | None = None
 
 
 class SimulationAborted(RuntimeError):
-    """Solver hit a numerical-domain error; the partial trace is attached."""
+    """Solver hit a numerical-domain error; the partial trace, with the message as its error, is attached."""
 
     def __init__(self, message: str, trace: SimTrace):
         super().__init__(message)
-        self.trace = trace
+        self.trace = replace(trace, error=message)
 
 
-def intruder_plan(spec: ScenarioSpec) -> tuple[DubinsPath, ControlSchedule]:
-    """Dubins path and per-step schedule from the intruder's start to its waypoint."""
+def intruder_plan(spec: ScenarioSpec) -> ControlSchedule:
+    """Per-step schedule of the Dubins path from the intruder's start to its waypoint."""
     bounds = spec.mpc.intruder_bounds
     path = shortest_path(spec.intruder_start, spec.intruder_target, bounds.v_max / bounds.u_max)
-    return path, control_schedule(path, bounds.v_max, spec.mpc.dt)
+    return control_schedule(path, bounds.v_max, spec.mpc.dt)
 
 
 def run_closed_loop(spec: ScenarioSpec) -> SimTrace:
     """Simulate one encounter until arrival or the step budget runs out."""
-    _, schedule = intruder_plan(spec)
+    schedule = intruder_plan(spec)
     config = spec.mpc
     rng = np.random.default_rng(spec.rng_seed) if spec.disturbance.kind == DISTURBANCE_UNIFORM else None
 
@@ -205,72 +208,48 @@ def metrics(trace: SimTrace) -> SimMetrics:
 
 
 @dataclass
-class RunOutcome:
-    """One Monte-Carlo run: its trace (partial if the run aborted) and the abort message."""
-
-    trace: SimTrace
-    error: str | None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-@dataclass
-class MonteCarloAggregate:
-    min_min_separation: float
-    violation_runs: int
-    path_length_min: float
-    path_length_mean: float
-    path_length_max: float
-    terminal_spread_max: float
-    terminal_spread_mean: float
-    common_step_index: int
-
-
-@dataclass
 class MonteCarloReport:
-    """The seeded runs and the disturbance-free nominal run, each as its outcome."""
+    """The seeded runs and the disturbance-free nominal run, each as its trace."""
 
     spec: ScenarioSpec
-    runs: list[RunOutcome]
-    nominal: RunOutcome
+    runs: list[SimTrace]
+    nominal: SimTrace
 
     @property
-    def aggregate(self) -> MonteCarloAggregate:
-        """Metrics over the completed runs; the terminal spread is measured at
-        the last step index common to every one and the nominal run, against
-        the nominal intruder position, so the nominal run must have completed."""
-        complete = [o.trace for o in self.runs if o.ok and o.trace.steps]
+    def aggregate(self) -> dict:
+        """Metrics over the completed runs, as report.json's `aggregate`; the
+        terminal spread is measured at the last step index common to every one
+        and the nominal run, against the nominal intruder position, so the
+        nominal run must have completed."""
+        complete = [t for t in self.runs if t.error is None and t.steps]
         if not complete:
             raise RuntimeError("no run completed; cannot aggregate")
-        if not self.nominal.ok:
+        if self.nominal.error is not None:
             raise RuntimeError(f"the nominal run failed ({self.nominal.error}); cannot aggregate")
         per_run = [metrics(t) for t in complete]
-        nominal = self.nominal.trace
 
-        common = min(min(len(t.steps) for t in complete), len(nominal.steps)) - 1
-        ref = nominal.steps[common].intruder
+        common = min(min(len(t.steps) for t in complete), len(self.nominal.steps)) - 1
+        ref = self.nominal.steps[common].intruder
         deviations = [separation(t.steps[common].intruder, ref) for t in complete]
 
         lengths = [m.path_length for m in per_run]
-        return MonteCarloAggregate(
-            min_min_separation=min(m.min_separation for m in per_run),
-            violation_runs=sum(1 for m in per_run if m.violation_stages > 0),
-            path_length_min=min(lengths),
-            path_length_mean=sum(lengths) / len(lengths),
-            path_length_max=max(lengths),
-            terminal_spread_max=max(deviations),
-            terminal_spread_mean=sum(deviations) / len(deviations),
-            common_step_index=common,
-        )
+        return {
+            "min_min_separation": min(m.min_separation for m in per_run),
+            "violation_runs": sum(1 for m in per_run if m.violation_stages > 0),
+            "path_length": {"min": min(lengths), "mean": sum(lengths) / len(lengths), "max": max(lengths)},
+            "terminal_spread": {
+                "max": max(deviations),
+                "mean": sum(deviations) / len(deviations),
+                "common_step_index": common,
+            },
+        }
 
 
-def _run_for_report(spec: ScenarioSpec) -> RunOutcome:
+def _run_for_report(spec: ScenarioSpec) -> SimTrace:
     try:
-        return RunOutcome(trace=run_closed_loop(spec), error=None)
+        return run_closed_loop(spec)
     except SimulationAborted as err:
-        return RunOutcome(trace=err.trace, error=str(err))
+        return err.trace
 
 
 def run_monte_carlo(spec: ScenarioSpec, runs: int, max_workers: int = 1) -> MonteCarloReport:
@@ -283,8 +262,9 @@ def run_monte_carlo(spec: ScenarioSpec, runs: int, max_workers: int = 1) -> Mont
         raise ValueError("need at least one run")
     specs = [replace(spec, disturbance=Disturbance())] + [replace(spec, rng_seed=spec.rng_seed + i) for i in range(runs)]
     if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(_run_for_report, specs))
+        # Fork starts every worker at once, so no more than there are tasks.
+        with ProcessPoolExecutor(max_workers=min(max_workers, len(specs))) as pool:
+            traces = list(pool.map(_run_for_report, specs))
     else:
-        outcomes = [_run_for_report(s) for s in specs]
-    return MonteCarloReport(spec=spec, runs=outcomes[1:], nominal=outcomes[0])
+        traces = [_run_for_report(s) for s in specs]
+    return MonteCarloReport(spec=spec, runs=traces[1:], nominal=traces[0])

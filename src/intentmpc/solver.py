@@ -9,6 +9,7 @@ Everything is deterministic for fixed inputs.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -209,7 +210,10 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
     gtol = INNER_GTOL_FRACTION * config.optimality_tol
 
     def objective(zz: np.ndarray) -> float:
-        return float(_checked("objective", zz, problem.objective(zz)))
+        f = float(problem.objective(zz))
+        if not math.isfinite(f):
+            raise NumericalDomainError("objective", zz, [True])
+        return f
 
     def constraints(zz: np.ndarray) -> np.ndarray:
         return _checked("constraints", zz, problem.constraints(zz))

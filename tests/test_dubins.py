@@ -27,6 +27,16 @@ def random_poses(rng, n, box=500.0):
     )
 
 
+def seeded_pairs(seed, n):
+    """n (start, goal) pairs drawn uniformly, as tuples."""
+    rng = np.random.default_rng(seed)
+    starts, goals = random_poses(rng, n), random_poses(rng, n)
+    return [(tuple(s), tuple(g)) for s, g in zip(starts, goals)]
+
+
+POSES = st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0), st.floats(-math.pi, math.pi))
+
+
 class TestSolveWord:
     def test_collinear_degenerates_to_straight(self):
         path = solve_word(Pose(0, 0, 0), Pose(200, 0, 0), 100.0, DubinsWord.LSL)
@@ -90,13 +100,14 @@ class TestShortestPath:
                     assert best.total_length <= path.total_length + 1e-9
 
     @settings(max_examples=15, deadline=None)
-    @given(st.floats(10.0, 500.0), st.integers(0, 2**32 - 1))
-    @example(RADIUS_INTRUDER, 17)
-    def test_matches_oracle_minimum(self, radius, seed):
-        rng = np.random.default_rng(seed)
-        starts, goals = random_poses(rng, 200), random_poses(rng, 200)
+    @given(st.floats(10.0, 500.0), st.lists(st.tuples(POSES, POSES), min_size=1, max_size=50))
+    @example(RADIUS_INTRUDER, seeded_pairs(17, 200))
+    # The straight word's arcs here are -2e-79 rad, which % 2*pi rounds up to a full turn.
+    @example(14.0, [((0.0, 0.0, 2e-79), (4.0, 0.0, 2e-79))])
+    def test_matches_oracle_minimum(self, radius, pairs):
+        starts, goals = (np.array(side) for side in zip(*pairs))
         expected = oracle_shortest_lengths(starts, goals, radius)
-        got = np.array([shortest_path(Pose(*s), Pose(*g), radius).total_length for s, g in zip(starts, goals)])
+        got = np.array([shortest_path(Pose(*s), Pose(*g), radius).total_length for s, g in pairs])
         np.testing.assert_allclose(got, expected, atol=1e-4)
 
     def test_mirror_and_reversal_symmetries(self):

@@ -69,7 +69,7 @@ if sys.argv[2] == "after":
     import scipy.optimize
     assert scipy.optimize.minimize(lambda x: float(x @ x), [1.0, 2.0], method="L-BFGS-B").success
 spec = load_scenario(sys.argv[1])
-problem, _ = build_problem(spec.own_start, spec.intruder_start, 0, intruder_plan(spec)[1], spec.mpc)
+problem, _ = build_problem(spec.own_start, spec.intruder_start, 0, intruder_plan(spec), spec.mpc)
 res = solve(problem, cold_start(spec.mpc), spec.mpc.solver)
 print(res.z_star.tobytes().hex(), res.inner_iters_total, res.status)
 """
@@ -80,7 +80,7 @@ def test_solve_is_the_same_whichever_imports_scipy_optimize_first():
     scenario = SCENARIOS / "reference_crossing.json"
     before, after = (run_python(CROSSING_SOLVE, str(scenario), order).split() for order in ("before", "after"))
     spec = load_scenario(scenario)
-    problem, _ = build_problem(spec.own_start, spec.intruder_start, 0, intruder_plan(spec)[1], spec.mpc)
+    problem, _ = build_problem(spec.own_start, spec.intruder_start, 0, intruder_plan(spec), spec.mpc)
     res = solve(problem, cold_start(spec.mpc), spec.mpc.solver)
     assert res.inner_iters_total > 0
     assert before == after == [res.z_star.tobytes().hex(), str(res.inner_iters_total), res.status]

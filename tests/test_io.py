@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intentmpc.sim as sim_module
@@ -259,6 +259,18 @@ class TestCsvAndSummaries:
     def test_summary_doc_is_deterministic_json(self, quick_trace):
         assert dump_json(summary_doc(quick_trace)) == dump_json(summary_doc(quick_trace))
 
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 2.0), st.integers(1, 10))
+    def test_same_seed_gives_the_same_bytes(self, seed, bound_deg_s, max_steps):
+        doc = quick_doc(**{"sim.seed": seed, "sim.max_steps": max_steps})
+        doc["disturbance"] = {"kind": "uniform", "lo_deg_s": -bound_deg_s, "hi_deg_s": bound_deg_s}
+        a, b = (run_closed_loop(parse_scenario(doc)) for _ in range(2))
+        # solve_ms, the last column, is measured wall time.
+        assert [row.rsplit(",", 1)[0] for row in trace_to_csv(a).splitlines()] == [
+            row.rsplit(",", 1)[0] for row in trace_to_csv(b).splitlines()
+        ]
+        assert dump_json(summary_doc(a)) == dump_json(summary_doc(b))
+
     def test_report_doc_shape(self, quick_mc_report):
         doc = report_doc(quick_mc_report)
         assert [r["index"] for r in doc["runs"]] == [0, 1]
@@ -328,6 +340,28 @@ class TestCli:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_scenario_directory_exits_2(self, tmp_path, capsys):
+        code = main(["simulate", "--scenario", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"invalid arguments: --scenario {tmp_path} cannot be read")
+
+    def test_scenario_not_utf8_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "latin1.json"
+        scenario.write_bytes('{"note": "café"}'.encode("latin-1"))
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"invalid arguments: --scenario {scenario} cannot be read")
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_out_that_is_a_file_exits_2_before_any_run(self, quick_path, tmp_path, monkeypatch, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        monkeypatch.setattr(sim_module, "solve_step", lambda *args: pytest.fail("a run started"))
+        code = main([command, "--scenario", str(quick_path), "--out", str(out), *RUNS[command]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"invalid arguments: --out {out} exists")
+        assert out.read_text() == "kept"
 
     def test_montecarlo_outputs_and_determinism(self, tmp_path):
         doc = quick_doc()

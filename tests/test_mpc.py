@@ -396,7 +396,7 @@ class TestCheckGradientResolution:
 
     def test_error_in_any_entry_is_flagged_on_the_crossing(self):
         spec = load_scenario(SCENARIOS / "reference_crossing.json")
-        problem = remembering_rows(build_problem(spec.own_start, spec.intruder_start, 0, intruder_plan(spec)[1], spec.mpc)[0])
+        problem = remembering_rows(build_problem(spec.own_start, spec.intruder_start, 0, intruder_plan(spec), spec.mpc)[0])
         z = np.random.default_rng(99).uniform(problem.lower, problem.upper)
         assert check_gradient(problem, z) <= 1e-5
         # Every entry of the objective's and every row's gradient is resolved here.

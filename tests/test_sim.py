@@ -125,7 +125,7 @@ class TestClosedLoop:
     def test_intruder_matches_nominal_scenario_bitwise(self):
         spec = conflict_spec()
         trace = run_closed_loop(spec)
-        _, schedule = intruder_plan(spec)
+        schedule = intruder_plan(spec)
         rates = [schedule.rate_at(k) for k in range(len(trace.steps))]
         tree = build_scenario_tree(spec.intruder_start, rates, 0, spec.mpc.intruder_bounds, spec.mpc.dt)
         nominal = tree.trajectories[0].tolist()
@@ -165,6 +165,7 @@ class TestClosedLoop:
             run_closed_loop(quiet_spec())
         assert [s.t for s in err.value.trace.steps] == [0, 1]
         assert not err.value.trace.arrived
+        assert err.value.trace.error == str(err.value)
 
     def test_no_conflict_min_separation_matches_nominal_geometry(self):
         # Receding intruder: separation is minimal at t=0 for any ownship
@@ -184,7 +185,7 @@ class TestClosedLoop:
         own_nominal = [spec.own_start]
         for rate in own_sched.angular_rates:
             own_nominal.append(step(own_nominal[-1], ControlInput(cfg.own_bounds.v_max, rate), cfg.dt))
-        _, intr_sched = intruder_plan(spec)
+        intr_sched = intruder_plan(spec)
         intr_nominal = [spec.intruder_start]
         for k in range(len(own_nominal) - 1):
             intr_nominal.append(
@@ -264,8 +265,8 @@ class TestMonteCarlo:
         spec = quiet_spec()
         report = run_monte_carlo(spec, runs=1)
         solo = run_closed_loop(replace(spec, rng_seed=spec.rng_seed + 0))
-        assert metrics(report.runs[0].trace) == metrics(solo)
-        assert report.aggregate.min_min_separation == metrics(solo).min_separation
+        assert metrics(report.runs[0]) == metrics(solo)
+        assert report.aggregate["min_min_separation"] == metrics(solo).min_separation
 
     def test_seed_determinism(self):
         deg = math.pi / 180.0
@@ -278,9 +279,9 @@ class TestMonteCarlo:
         deg = math.pi / 180.0
         spec = conflict_spec(disturbance=Disturbance("uniform", -0.5 * deg, 0.5 * deg))
         report = run_monte_carlo(spec, runs=3)
-        assert [o.trace.spec.rng_seed for o in report.runs] == [spec.rng_seed, spec.rng_seed + 1, spec.rng_seed + 2]
+        assert [t.spec.rng_seed for t in report.runs] == [spec.rng_seed, spec.rng_seed + 1, spec.rng_seed + 2]
         third = run_closed_loop(replace(spec, rng_seed=spec.rng_seed + 2))
-        assert metrics(report.runs[2].trace) == metrics(third)
+        assert metrics(report.runs[2]) == metrics(third)
 
     def test_spread_grows_with_disturbance(self):
         deg = math.pi / 180.0
@@ -288,7 +289,7 @@ class TestMonteCarlo:
         large = conflict_spec(disturbance=Disturbance("uniform", -0.5 * deg, 0.5 * deg))
         r_small = run_monte_carlo(small, runs=4)
         r_large = run_monte_carlo(large, runs=4)
-        assert r_large.aggregate.terminal_spread_max > r_small.aggregate.terminal_spread_max
+        assert r_large.aggregate["terminal_spread"]["max"] > r_small.aggregate["terminal_spread"]["max"]
 
     def test_parallel_matches_serial(self):
         deg = math.pi / 180.0
@@ -297,6 +298,30 @@ class TestMonteCarlo:
         serial = run_monte_carlo(spec, runs=3, max_workers=1)
         parallel = run_monte_carlo(spec, runs=3, max_workers=2)
         assert report_doc(serial) == report_doc(parallel)
+
+    @pytest.mark.parametrize("workers, runs, started", [(50, 2, 3), (2, 20, 2)])
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch, workers, runs, started):
+        # Fork starts every worker at once; the fake pool starts none.
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, specs):
+                return map(fn, specs)
+
+        monkeypatch.setattr(sim_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim_module, "run_closed_loop", lambda s: SimTrace(s, [], s.own_start, s.intruder_start, False, "max_steps"))
+        report = sim_module.run_monte_carlo(quiet_spec(), runs=runs, max_workers=workers)
+        assert requested == [started]
+        assert len(report.runs) == runs
 
     def test_failed_runs_recorded_batch_continues(self, monkeypatch):
         spec = quiet_spec()
@@ -311,9 +336,8 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(sim_module, "run_closed_loop", flaky)
         report = sim_module.run_monte_carlo(spec, runs=3)
-        assert [o.ok for o in report.runs] == [True, False, True]
-        assert report.runs[1].error is not None
-        assert report.aggregate.min_min_separation > 0.0
+        assert [t.error for t in report.runs] == [None, "boom", None]
+        assert report.aggregate["min_min_separation"] > 0.0
 
     def test_nominal_abort_is_recorded_and_blocks_the_aggregate(self, monkeypatch):
         real = sim_module.run_closed_loop
@@ -326,7 +350,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(sim_module, "run_closed_loop", nominal_aborts)
         deg = math.pi / 180.0
         report = sim_module.run_monte_carlo(quiet_spec(disturbance=Disturbance("uniform", -0.5 * deg, 0.5 * deg)), runs=2)
-        assert [o.ok for o in report.runs] == [True, True]
-        assert not report.nominal.ok and len(report.nominal.trace.steps) == 2
+        assert [t.error for t in report.runs] == [None, None]
+        assert report.nominal.error == "boom" and len(report.nominal.steps) == 2
         with pytest.raises(RuntimeError, match="nominal run failed"):
             report.aggregate

@@ -146,7 +146,7 @@ class TestSolve:
         )
         with pytest.raises(NumericalDomainError) as err:
             solve(problem, np.zeros(2))
-        assert str(err.value).startswith("objective non-finite")
+        assert str(err.value) == "objective non-finite at indices [0] for decision vector [0.0, 0.0]"
         assert err.value.bad_indices.tolist() == [0]
 
     def test_domain_error_accepts_lists(self):
@@ -441,7 +441,7 @@ class TestLbfgsbDriver:
         """The crossing's first step is a conflict: the cold start violates
         separation rows, which give the multipliers their nonzero entries."""
         spec = load_scenario(SCENARIOS / "reference_crossing.json")
-        problem, _ = build_problem(spec.own_start, spec.intruder_start, 0, intruder_plan(spec)[1], spec.mpc)
+        problem, _ = build_problem(spec.own_start, spec.intruder_start, 0, intruder_plan(spec), spec.mpc)
         z0 = cold_start(spec.mpc)
         penalty = solver.INITIAL_PENALTY * solver.PENALTY_GROWTH
         lam = np.maximum(0.0, solver.INITIAL_PENALTY * problem.constraints(z0))
