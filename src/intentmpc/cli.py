@@ -1,13 +1,16 @@
 """Command-line entry points: simulate, montecarlo, dubins.
 
 Exit codes: 0 success, 2 invalid scenario or arguments (stderr names the
-offending JSON path or option; an unreadable scenario file or an --out that
-is a file exits 2 before any run), 3 solver numerical failure (partial
-outputs are still written).  INTENT_MPC_THREADS caps Monte-Carlo parallelism
-(0 = one worker per CPU this process may run on; unset = serial).  With two
-or more workers, also set OPENBLAS_NUM_THREADS=1: otherwise the BLAS threads
-of every worker spin between calls, outnumber the cores, and the pool runs
-slower than one process.
+offending JSON path, option or environment variable; an unreadable scenario
+file, an --out that is a file or an INTENT_MPC_THREADS that is not a
+nonnegative integer exits 2 before any run), 3 solver numerical failure
+(partial outputs are still written).  INTENT_MPC_THREADS caps Monte-Carlo
+parallelism (0 = one worker per CPU this process may run on; unset =
+serial).  A batch solves the steps its runs share in this process, and the
+pool starts only for the runs that leave that shared prefix.  For those, with
+two or more workers, also set OPENBLAS_NUM_THREADS=1: otherwise the BLAS
+threads of every worker spin between calls, outnumber the cores, and the
+pool runs slower than one process.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ def _monte_carlo_workers() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ScenarioError("INTENT_MPC_THREADS", f"expected an integer, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"INTENT_MPC_THREADS: expected an integer, got {raw!r}")
     if value < 0:
-        raise ScenarioError("INTENT_MPC_THREADS", "must be >= 0")
+        raise argparse.ArgumentTypeError(f"INTENT_MPC_THREADS: must be >= 0, got {value}")
     if value:
         return value
     # The CPUs this process may run on, not every CPU of the machine.

@@ -318,14 +318,33 @@ def solve_step(
     intent_schedule: ControlSchedule,
     config: MpcConfig,
     warm: MpcSolution | None = None,
-) -> MpcSolution:
-    """Solve one receding-horizon instance, without its rows where none can bind, and package the applied action."""
-    if config.mode is not MpcMode.UNCONSTRAINED and not _rows_can_bind(own_now, intruder_now, t, intent_schedule, config):
-        config = replace(config, mode=MpcMode.UNCONSTRAINED)
-    problem, _ = build_problem(own_now, intruder_now, t, intent_schedule, config)
+    memo: dict[bytes, MpcSolution] | None = None,
+    screened_only: bool = False,
+) -> MpcSolution | None:
+    """Solve one receding-horizon instance, without its rows where none can bind, and package the applied action.
+
+    A step solved without rows reads only the ownship pose, the warm start
+    and `config`, so `memo`, which must serve one config, keys it by the
+    bytes of the pose and z0: the step is served from the memo, or solved and
+    stored there.  A step whose rows can bind never touches the memo; under
+    `screened_only` it is not solved and None is returned.
+    """
+    rows = config.mode is not MpcMode.UNCONSTRAINED and _rows_can_bind(own_now, intruder_now, t, intent_schedule, config)
+    if rows and screened_only:
+        return None
     z0 = shift_warm_start(warm.solver.z_star, config.horizon) if warm is not None else cold_start(config)
+    key = None
+    if not rows:
+        config = replace(config, mode=MpcMode.UNCONSTRAINED)
+        if memo is not None:
+            key = np.array((own_now.x, own_now.y, own_now.heading)).tobytes() + z0.tobytes()
+            if key in memo:
+                return memo[key]
+    problem, _ = build_problem(own_now, intruder_now, t, intent_schedule, config)
     result = solve(problem, z0, config.solver)
     # z_star is projected onto the box, which is the ownship's control bounds.
     z, n = result.z_star, config.horizon
-    return MpcSolution(first_input=ControlInput(speed=float(z[n]), angular_rate=float(z[0])), solver=result)
-
+    sol = MpcSolution(first_input=ControlInput(speed=float(z[n]), angular_rate=float(z[0])), solver=result)
+    if key is not None:
+        memo[key] = sol
+    return sol

@@ -191,7 +191,9 @@ def trace_to_csv(trace: SimTrace) -> str:
     """One row per applied step; floats carry 9 significant digits, LF endings.
 
     Every column except solve_ms is a deterministic function of the scenario
-    and seed; solve_ms is measured wall time.
+    and seed; solve_ms is the measured wall time of the step's `solve_step`.
+    In a Monte-Carlo run, a step served from the batch's memo was not solved:
+    its solve_ms is the time of the screen and the lookup.
     """
     lines = [CSV_HEADER]
     for s in trace.steps:

@@ -4,7 +4,8 @@ The intruder commits to the Dubins schedule toward its waypoint computed once
 at t = 0 and indexed by absolute time; an optional bounded uniform
 angular-rate disturbance perturbs each applied step.  The ownship re-solves
 its receding-horizon problem every step.  Monte-Carlo batches rerun the same
-encounter under per-run derived seeds.
+encounter under per-run derived seeds; an ownship step that their runs share
+and that is solved without separation rows is solved once.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -114,8 +116,15 @@ def intruder_plan(spec: ScenarioSpec) -> ControlSchedule:
     return control_schedule(path, bounds.v_max, spec.mpc.dt)
 
 
-def run_closed_loop(spec: ScenarioSpec) -> SimTrace:
-    """Simulate one encounter until arrival or the step budget runs out."""
+def run_closed_loop(
+    spec: ScenarioSpec, memo: dict[bytes, MpcSolution] | None = None, screened_only: bool = False
+) -> SimTrace | None:
+    """Simulate one encounter until arrival or the step budget runs out.
+
+    `memo` and `screened_only` go to every `solve_step`; under
+    `screened_only` the run stops at its first step whose rows can bind and
+    returns None.
+    """
     schedule = intruder_plan(spec)
     config = spec.mpc
     rng = np.random.default_rng(spec.rng_seed) if spec.disturbance.kind == DISTURBANCE_UNIFORM else None
@@ -130,10 +139,12 @@ def run_closed_loop(spec: ScenarioSpec) -> SimTrace:
     while not arrived and t < spec.max_steps:
         t_start = time.perf_counter()
         try:
-            sol = solve_step(own, intruder, t, schedule, config, warm)
+            sol = solve_step(own, intruder, t, schedule, config, warm, memo, screened_only)
         except NumericalDomainError as err:
             trace = _finish_trace(spec, steps, own, intruder, False)
             raise SimulationAborted(f"solver domain error at step {t}: {err}", trace) from err
+        if sol is None:
+            return None
         solve_seconds = time.perf_counter() - t_start
 
         nominal_rate = schedule.rate_at(t)
@@ -245,9 +256,9 @@ class MonteCarloReport:
         }
 
 
-def _run_for_report(spec: ScenarioSpec) -> SimTrace:
+def _run_for_report(spec: ScenarioSpec, memo: dict[bytes, MpcSolution], screened_only: bool = False) -> SimTrace | None:
     try:
-        return run_closed_loop(spec)
+        return run_closed_loop(spec, memo, screened_only)
     except SimulationAborted as err:
         return err.trace
 
@@ -257,14 +268,22 @@ def run_monte_carlo(spec: ScenarioSpec, runs: int, max_workers: int = 1) -> Mont
 
     Run i, at list position i, uses seed rng_seed + i.  The nominal run is
     the first task, so an abort there is caught and recorded like any run's.
+    The disturbance acts only on the intruder, so every run flies the same
+    ownship steps until its rows can first bind; one memo holds the batch's
+    steps solved without rows.  With more than one worker, every run goes in
+    this process until it ends or reaches a step whose rows can bind, and
+    only those runs go to the pool, where each restarts from its spec and
+    replays its prefix from a copy of the memo.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     specs = [replace(spec, disturbance=Disturbance())] + [replace(spec, rng_seed=spec.rng_seed + i) for i in range(runs)]
-    if max_workers > 1:
-        # Fork starts every worker at once, so no more than there are tasks.
-        with ProcessPoolExecutor(max_workers=min(max_workers, len(specs))) as pool:
-            traces = list(pool.map(_run_for_report, specs))
-    else:
-        traces = [_run_for_report(s) for s in specs]
+    memo: dict[bytes, MpcSolution] = {}
+    traces = [_run_for_report(s, memo, max_workers > 1) for s in specs]
+    pending = [s for s, trace in zip(specs, traces) if trace is None]
+    if pending:
+        # Fork starts every worker at once, so no more than there are pending runs.
+        with ProcessPoolExecutor(max_workers=min(max_workers, len(pending))) as pool:
+            finished = pool.map(_run_for_report, pending, repeat(memo))
+            traces = [trace if trace is not None else next(finished) for trace in traces]
     return MonteCarloReport(spec=spec, runs=traces[1:], nominal=traces[0])

@@ -379,10 +379,10 @@ class TestCli:
     def test_montecarlo_nominal_abort_exits_3_with_partial_outputs(self, tmp_path, monkeypatch, capsys):
         real = sim_module.run_closed_loop
 
-        def nominal_aborts(spec):
+        def nominal_aborts(spec, *args):
             if spec.disturbance.kind == "none":
                 raise SimulationAborted("solver domain error at step 2: boom", real(replace(spec, max_steps=2)))
-            return real(spec)
+            return real(spec, *args)
 
         monkeypatch.setattr(sim_module, "run_closed_loop", nominal_aborts)
         scenario = tmp_path / "noisy.json"
@@ -456,6 +456,17 @@ class TestCli:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert cli._monte_carlo_workers() == 64
+
+    @pytest.mark.parametrize("raw", ["x", "-1"])
+    def test_invalid_thread_env_exits_2_as_an_argument(self, quick_path, tmp_path, monkeypatch, capsys, raw):
+        # The variable is an argument of the command, not part of the scenario.
+        monkeypatch.setenv("INTENT_MPC_THREADS", raw)
+        monkeypatch.setattr(sim_module, "solve_step", lambda *args: pytest.fail("a run started"))
+        out = tmp_path / "out"
+        assert main(["montecarlo", "--scenario", str(quick_path), "--out", str(out), "--runs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments: INTENT_MPC_THREADS: ") and raw in err
+        assert not out.exists()
 
     def test_dubins_straight(self, capsys):
         code = main(["dubins", "--start", "0", "0", "0", "--goal", "200", "0", "0", "--radius", "100", "--speed", "10"])

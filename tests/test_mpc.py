@@ -24,7 +24,7 @@ from intentmpc import (
     shortest_path,
     solve_step,
 )
-from intentmpc.mpc import cold_start, shift_warm_start, wrap_angles
+from intentmpc.mpc import MpcSolution, cold_start, shift_warm_start, wrap_angles
 from intentmpc.scenario_io import load_scenario
 from intentmpc.sim import intruder_plan
 from intentmpc.solver import SolverConfig, SolverResult, _rank, solve
@@ -249,12 +249,15 @@ class TestSharedRecord:
                 got.fill(np.nan)
 
 
+def poses():
+    coord = st.floats(-1500.0, 1500.0)
+    return st.builds(Pose, coord, coord, st.floats(-math.pi, math.pi))
+
+
 @st.composite
 def encounters(draw, max_horizon=12):
     """A config (mode, horizon, dt, weights, target), ownship and intruder poses, a step and a seed for z."""
-    coord = st.floats(-1500.0, 1500.0)
-    angle = st.floats(-math.pi, math.pi)
-    pose = st.builds(Pose, coord, coord, angle)
+    pose = poses()
     mode = draw(st.sampled_from(list(MpcMode)))
     horizon = draw(st.integers(1, max_horizon))
     diag = st.tuples(*[st.floats(0.01, 10.0)] * 3)
@@ -563,11 +566,31 @@ class TestSolveStep:
                 assert after <= max(2.0 * before, 1e-4), f"violation grew {before} -> {after}"
 
 
+CONSTRAINED = [MpcMode.SCENARIO_TREE, MpcMode.CLASSIC, MpcMode.NO_INTENT]
+
+
+class UntouchableMemo(dict):
+    """A memo that fails the test on any read or write."""
+
+    def _touched(self, *args):
+        pytest.fail("the memo was touched")
+
+    __contains__ = __getitem__ = __setitem__ = get = setdefault = _touched
+
+
+def random_warm_start(cfg, seed) -> MpcSolution:
+    """A previous solution whose z_star is drawn uniformly from the control box."""
+    n = cfg.horizon
+    b = cfg.own_bounds
+    z = np.random.default_rng(seed).uniform(np.repeat((b.u_min, b.v_min), n), np.repeat((b.u_max, b.v_max), n))
+    return MpcSolution(ControlInput(speed=z[n], angular_rate=z[0]), SolverResult(z, 0.0, 0.0, 0.0, 0, 0, "converged"))
+
+
 class TestScreen:
     """solve_step solves a step where no separation row can bind without the tree or its rows."""
 
     @settings(max_examples=40, deadline=None)
-    @given(encounters(), st.sampled_from([MpcMode.SCENARIO_TREE, MpcMode.CLASSIC, MpcMode.NO_INTENT]))
+    @given(encounters(), st.sampled_from(CONSTRAINED))
     def test_screened_step_equals_the_full_problem(self, case, mode):
         cfg, own, intruder, t, seed = case
         cfg = replace(cfg, mode=mode)
@@ -593,7 +616,7 @@ class TestScreen:
             expected.inner_iters_total,
         )
 
-    @pytest.mark.parametrize("mode", [MpcMode.SCENARIO_TREE, MpcMode.CLASSIC, MpcMode.NO_INTENT])
+    @pytest.mark.parametrize("mode", CONSTRAINED)
     def test_start_inside_rho_keeps_its_rows(self, monkeypatch, mode):
         # Already in conflict at stage 0, which no control can change.
         cfg = config(mode)
@@ -602,6 +625,58 @@ class TestScreen:
         calls = count_tree_calls(monkeypatch)
         solve_step(own, intruder, 0, crossing_schedule(), cfg)
         assert len(calls) == 1
+        # Stopping at the first step that keeps its rows solves nothing.
+        assert solve_step(own, intruder, 0, crossing_schedule(), cfg, screened_only=True) is None
+        assert len(calls) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(encounters(), st.sampled_from(CONSTRAINED), st.data())
+    def test_memo_serves_a_screened_step_at_another_intruder_and_time(self, case, mode, data):
+        # A screened step reads only the ownship pose, z0 and the config.
+        cfg, own, intruder, t, seed = case
+        cfg = replace(cfg, mode=mode)
+        schedule = crossing_schedule()
+        other, t_other = data.draw(poses()), data.draw(st.integers(0, 40))
+        assume(not mpc_module._rows_can_bind(own, intruder, t, schedule, cfg))
+        assume(not mpc_module._rows_can_bind(own, other, t_other, schedule, cfg))
+        warm = random_warm_start(cfg, seed)
+        memo = {}
+        stored = solve_step(own, intruder, t, schedule, cfg, warm, memo)
+        assert [id(sol) for sol in memo.values()] == [id(stored)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mpc_module, "solve", lambda *args: pytest.fail("a step in the memo was solved"))
+            served = solve_step(own, other, t_other, schedule, cfg, warm, memo)
+        fresh = solve_step(own, other, t_other, schedule, cfg, warm).solver
+        assert served is stored
+        assert served.solver.z_star.tobytes() == fresh.z_star.tobytes()
+        assert (served.solver.status, served.solver.outer_iters, served.solver.inner_iters_total) == (
+            fresh.status,
+            fresh.outer_iters,
+            fresh.inner_iters_total,
+        )
+        # Another z0 or heading at the same position is another problem.
+        turned = Pose(own.x, own.y, own.heading + 1e-3)
+        assume(not mpc_module._rows_can_bind(turned, other, t_other, schedule, cfg))
+        for pose, start in ((own, random_warm_start(cfg, seed + 1)), (turned, warm)):
+            got = solve_step(pose, other, t_other, schedule, cfg, start, memo)
+            assert got.solver.z_star.tobytes() == solve_step(pose, other, t_other, schedule, cfg, start).solver.z_star.tobytes()
+        assert len(memo) == 3
+
+    @settings(max_examples=20, deadline=None)
+    @given(encounters(), st.sampled_from(CONSTRAINED), st.data())
+    def test_a_step_whose_rows_can_bind_never_touches_the_memo(self, case, mode, data):
+        cfg, own, _, t, seed = case
+        cfg = replace(cfg, mode=mode)
+        schedule = crossing_schedule()
+        # An intruder within 400 m, so that most draws keep their rows.
+        offset = st.floats(-400.0, 400.0)
+        intruder = Pose(own.x + data.draw(offset), own.y + data.draw(offset), data.draw(st.floats(-math.pi, math.pi)))
+        assume(mpc_module._rows_can_bind(own, intruder, t, schedule, cfg))
+        warm = random_warm_start(cfg, seed)
+        got = solve_step(own, intruder, t, schedule, cfg, warm, UntouchableMemo())
+        fresh = solve_step(own, intruder, t, schedule, cfg, warm)
+        assert got.solver.z_star.tobytes() == fresh.solver.z_star.tobytes()
+        assert solve_step(own, intruder, t, schedule, cfg, warm, UntouchableMemo(), screened_only=True) is None
 
     def test_intruder_only_the_ownship_can_reach_keeps_its_rows(self, monkeypatch):
         # The intruder flies north, never nearer than 300 m to the ownship's

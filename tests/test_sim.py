@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import intentmpc.mpc as mpc_module
 import intentmpc.sim as sim_module
 from intentmpc import (
     ControlBounds,
@@ -97,6 +98,16 @@ def conflict_spec(**overrides) -> ScenarioSpec:
         solver=FAST_SOLVER,
     )
     return _spec(base, overrides)
+
+
+def prefix_spec(**overrides) -> ScenarioSpec:
+    """Classic head-on encounter whose first 8 steps are screened (no row can bind)."""
+    return conflict_spec(**{"mode": MpcMode.CLASSIC, "intruder_start": Pose(400, 0, math.pi), **overrides})
+
+
+def masked_csv(trace: SimTrace) -> list[str]:
+    """The trace CSV's rows without the measured solve_ms column."""
+    return [row.rsplit(",", 1)[0] for row in trace_to_csv(trace).split("\n")]
 
 
 class TestClosedLoop:
@@ -299,10 +310,19 @@ class TestMonteCarlo:
         parallel = run_monte_carlo(spec, runs=3, max_workers=2)
         assert report_doc(serial) == report_doc(parallel)
 
-    @pytest.mark.parametrize("workers, runs, started", [(50, 2, 3), (2, 20, 2)])
-    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch, workers, runs, started):
-        # Fork starts every worker at once; the fake pool starts none.
-        requested = []
+    @pytest.mark.parametrize(
+        "workers, runs, pending, started",
+        [(50, 2, 3, [3]), (2, 20, 21, [2]), (2, 20, 1, [1]), (2, 20, 0, []), (1, 20, 21, [])],
+        ids=["50-2-3", "2-20-21", "2-20-1", "2-20-0", "1-20-21"],
+    )
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch, workers, runs, pending, started):
+        # Fork starts every worker at once; the fake pool starts none.  The
+        # pool's tasks are the runs that leave the shared prefix: the first
+        # `pending` runs, the nominal run first.  One worker runs them all
+        # to the end in this process.
+        requested, pooled = [], []
+        deg = math.pi / 180.0
+        spec = quiet_spec(disturbance=Disturbance("uniform", -0.5 * deg, 0.5 * deg))
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -314,25 +334,72 @@ class TestMonteCarlo:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, specs):
-                return map(fn, specs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        def fake_run(s, memo=None, screened_only=False):
+            task = 0 if s.disturbance.kind == "none" else s.rng_seed - spec.rng_seed + 1
+            if task < pending:
+                if screened_only:
+                    return None
+                pooled.append(task)
+            return SimTrace(s, [], s.own_start, s.intruder_start, False, "max_steps")
 
         monkeypatch.setattr(sim_module, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(sim_module, "run_closed_loop", lambda s: SimTrace(s, [], s.own_start, s.intruder_start, False, "max_steps"))
-        report = sim_module.run_monte_carlo(quiet_spec(), runs=runs, max_workers=workers)
-        assert requested == [started]
+        monkeypatch.setattr(sim_module, "run_closed_loop", fake_run)
+        report = sim_module.run_monte_carlo(spec, runs=runs, max_workers=workers)
+        assert requested == started
+        assert pooled == list(range(pending))
         assert len(report.runs) == runs
+        assert [t.spec.rng_seed for t in report.runs] == [spec.rng_seed + i for i in range(runs)]
+        assert report.nominal.spec.disturbance.kind == "none"
+
+    @pytest.mark.parametrize(
+        "make_spec, workers, started",
+        [(quiet_spec, 1, []), (quiet_spec, 2, []), (prefix_spec, 1, []), (prefix_spec, 2, [2])],
+        ids=["screened-1", "screened-2", "prefix-1", "prefix-2"],
+    )
+    def test_batch_runs_equal_runs_without_a_memo(self, monkeypatch, make_spec, workers, started):
+        # Every quiet step is screened, so its runs never leave the shared
+        # prefix and no pool starts; the head-on runs leave it at step 8.
+        deg = math.pi / 180.0
+        spec = make_spec(disturbance=Disturbance("uniform", -0.5 * deg, 0.5 * deg))
+        requested = []
+
+        class RecordingPool(sim_module.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(sim_module, "ProcessPoolExecutor", RecordingPool)
+        report = run_monte_carlo(spec, runs=3, max_workers=workers)
+        assert requested == started
+        batch = [report.nominal, *report.runs]
+        solo = [run_closed_loop(t.spec) for t in batch]
+        for got, want in zip(batch, solo):
+            assert masked_csv(got) == masked_csv(want)
+        assert report_doc(report) == report_doc(sim_module.MonteCarloReport(spec, solo[1:], solo[0]))
+
+    def test_shared_steps_are_solved_once(self, monkeypatch):
+        # Every quiet step is screened, so the four runs share every step.
+        deg = math.pi / 180.0
+        solves = []
+        real = mpc_module.solve
+        monkeypatch.setattr(mpc_module, "solve", lambda *args: solves.append(args) or real(*args))
+        report = run_monte_carlo(quiet_spec(disturbance=Disturbance("uniform", -0.5 * deg, 0.5 * deg)), runs=3)
+        assert len(solves) == len(report.nominal.steps)
+        assert all(len(t.steps) == len(solves) for t in report.runs)
 
     def test_failed_runs_recorded_batch_continues(self, monkeypatch):
         spec = quiet_spec()
         real = sim_module.run_closed_loop
         calls = {"n": 0}
 
-        def flaky(s):
+        def flaky(s, *args):
             calls["n"] += 1
             if s.rng_seed == spec.rng_seed + 1:
                 raise SimulationAborted("boom", real(replace(s, max_steps=2)))
-            return real(s)
+            return real(s, *args)
 
         monkeypatch.setattr(sim_module, "run_closed_loop", flaky)
         report = sim_module.run_monte_carlo(spec, runs=3)
@@ -342,10 +409,10 @@ class TestMonteCarlo:
     def test_nominal_abort_is_recorded_and_blocks_the_aggregate(self, monkeypatch):
         real = sim_module.run_closed_loop
 
-        def nominal_aborts(s):
+        def nominal_aborts(s, *args):
             if s.disturbance.kind == "none":
                 raise SimulationAborted("boom", real(replace(s, max_steps=2)))
-            return real(s)
+            return real(s, *args)
 
         monkeypatch.setattr(sim_module, "run_closed_loop", nominal_aborts)
         deg = math.pi / 180.0

@@ -3,15 +3,19 @@
 The tracer re-wraps the callables of every NlpProblem that build_problem
 returns, by field name, and counts a tree's scenarios as
 `len(tree.trajectories)`, so a reshaped NlpProblem, build_problem or
-ScenarioTree would otherwise show only in a traced benchmark run.
+ScenarioTree would otherwise show only in a traced benchmark run.  It also
+replaces the Monte-Carlo pool, which the benchmark's batch, every step of it
+screened, no longer starts.
 """
 
 import math
 from pathlib import Path
 
-from intentmpc import Pose
+from intentmpc import Disturbance, Pose
 from intentmpc.mpc import MpcMode, solve_step
+from intentmpc.sim import run_monte_carlo
 from test_mpc import config, crossing_schedule
+from test_sim import prefix_spec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -80,3 +84,27 @@ def test_traced_unconstrained_problem_has_zero_rows(monkeypatch):
     assert "dynamics.build_scenario_tree" not in names
     assert tracer.counters["mpc.problems"] == 1
     assert tracer.counters["mpc.constraint_rows"] == 0
+
+
+def test_traced_batch_records_every_finished_run(monkeypatch):
+    # The head-on runs leave the shared prefix at step 8 and finish in the
+    # pool; each pool task returns its worker's spans.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    deg = math.pi / 180.0
+    tracer = tracing.install()
+    try:
+        report = run_monte_carlo(prefix_spec(disturbance=Disturbance("uniform", -0.5 * deg, 0.5 * deg)), runs=2, max_workers=2)
+    finally:
+        tracer.uninstall()
+    traces = [report.nominal, *report.runs]
+    tasks = {i for i, span in enumerate(tracer.spans) if span[0] == "sim.pool_task"}
+    encounters = [span for span in tracer.spans if span[0] == "sim.run_closed_loop"]
+    assert len(tasks) == len(traces)
+    # One span per finished run in its pool task, and one per run's pass in
+    # this process, which ended at the prefix and counted no step.
+    assert sorted(span[3] for span in encounters if span[3] in tasks) == sorted(tasks)
+    assert len(encounters) == 2 * len(traces)
+    assert tracer.counters["sim.workers"] == 2
+    assert tracer.counters["sim.steps"] == sum(len(t.steps) for t in traces)
