@@ -30,10 +30,10 @@ def main() -> None:
         trace = run_closed_loop(replace(base, mpc=replace(base.mpc, mode=mode)))
         elapsed = time.perf_counter() - start
         m = metrics(trace)
-        flag = "" if m.min_separation >= rho - 1e-3 else "  <- violates"
+        flag = "" if m["min_separation"] >= rho - 1e-3 else "  <- violates"
         print(
             f"{mode.value:16s} {len(trace.steps):5d} {str(trace.arrived):>8s} "
-            f"{m.min_separation:9.2f} {m.min_separation_time:4d} {m.path_length:8.1f} {elapsed:6.1f}s{flag}"
+            f"{m['min_separation']:9.2f} {m['min_separation_time']:4d} {m['path_length']:8.1f} {elapsed:6.1f}s{flag}"
         )
         out = OUT / mode.value
         out.mkdir(parents=True, exist_ok=True)

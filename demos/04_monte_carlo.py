@@ -31,7 +31,7 @@ def main() -> None:
     print("run  seed        min sep   arrived")
     for index, trace in enumerate(report.runs):
         m = metrics(trace)
-        print(f"{index:3d}  {trace.spec.rng_seed:<10d} {m.min_separation:8.2f}   {trace.arrived}")
+        print(f"{index:3d}  {trace.spec.rng_seed:<10d} {m['min_separation']:8.2f}   {trace.arrived}")
     agg = report.aggregate
     spread = agg["terminal_spread"]
     print(f"\nworst min separation over runs: {agg['min_min_separation']:.2f} m")

@@ -141,7 +141,9 @@ def _solve_ccc(start: Pose, goal: Pose, radius: float, word: DubinsWord) -> tupl
     """Three-arc construction: the middle circle must touch both end circles.
 
     Its center lies on the intersection of radius-2R circles around the end
-    centers, giving two mirror candidates; the shorter valid one is returned.
+    centers, giving two mirror candidates.  Returns the shorter one as
+    normalized (first arc angle, middle arc length in meters, last arc
+    angle), or None when no middle circle exists.
     """
     kinds = word.segments
     d1 = _TURN_DIR[kinds[0]]
@@ -177,25 +179,17 @@ def _solve_ccc(start: Pose, goal: Pose, radius: float, word: DubinsWord) -> tupl
         q = mod2pi(d1 * (g3 - g2))
         if best is None or t + p + q < best[0] + best[1] + best[2]:
             best = (t, p, q)
-    return best
+    return best[0], best[1] * radius, best[2]
 
 
 def solve_word(start: Pose, goal: Pose, turn_radius: float, word: DubinsWord) -> DubinsPath | None:
     """Solve one word exactly; None when it is geometrically infeasible."""
     if not (math.isfinite(turn_radius) and turn_radius > 0.0):
         raise ValueError(f"turn radius must be finite and positive, got {turn_radius}")
-    if word.segments[1] == "S":
-        sol = _solve_csc(start, goal, turn_radius, word)
-        if sol is None:
-            return None
-        t, straight, q = sol
-        lengths = (t * turn_radius, straight, q * turn_radius)
-    else:
-        sol = _solve_ccc(start, goal, turn_radius, word)
-        if sol is None:
-            return None
-        t, p, q = sol
-        lengths = (t * turn_radius, p * turn_radius, q * turn_radius)
+    sol = (_solve_csc if word.segments[1] == "S" else _solve_ccc)(start, goal, turn_radius, word)
+    if sol is None:
+        return None
+    lengths = (sol[0] * turn_radius, sol[1], sol[2] * turn_radius)
     return DubinsPath(word=word, start=start, goal=goal, turn_radius=turn_radius, seg_lengths=lengths)
 
 
@@ -227,15 +221,22 @@ def sample_pose(path: DubinsPath, arclength: float) -> Pose:
     return Pose(x, y, h)
 
 
-def control_schedule(path: DubinsPath, speed: float, dt: float) -> ControlSchedule:
-    """Discretize a path into time-averaged angular rates per step."""
+def control_schedule(path: DubinsPath, speed: float, dt: float, max_steps: int | None = None) -> ControlSchedule:
+    """Discretize a path into time-averaged angular rates per step, at most
+    `max_steps` of them; ValueError when the step count is not finite and
+    `max_steps` does not bound it."""
     if not (math.isfinite(speed) and speed > 0.0):
         raise ValueError(f"speed must be finite and positive, got {speed}")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0.0 and speed * dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, with speed * dt > 0, got {dt}")
     total = path.total_length
     step_len = speed * dt
-    steps = max(int(math.ceil(total / step_len - 1e-12)), 0)
+    steps = total / step_len - 1e-12
+    if max_steps is not None:
+        steps = min(steps, max_steps)
+    if not math.isfinite(steps):
+        raise ValueError(f"a path of {total} m takes {steps} steps of speed * dt = {step_len} m")
+    steps = max(math.ceil(steps), 0)
     rates = []
     h_prev = path.start.heading
     for k in range(steps):

@@ -289,7 +289,6 @@ def build_problem(
     lower = np.concatenate((np.full(n, ob.u_min), np.full(n, ob.v_min)))
     upper = np.concatenate((np.full(n, ob.u_max), np.full(n, ob.v_max)))
     problem = NlpProblem(
-        dimension=2 * n,
         objective=shoot.objective,
         objective_grad=shoot.objective_grad,
         lower=lower,

@@ -137,16 +137,31 @@ def _document(title: str, body: list[str], height: int = HEIGHT) -> str:
     return "\n".join([head, f'<rect width="{WIDTH}" height="{height}" fill="#ffffff"/>', _text(MARGIN_L, 18, title, 14)] + body + ["</svg>"]) + "\n"
 
 
-def _own_points(trace: SimTrace):
-    pts = [(s.own.x, s.own.y) for s in trace.steps]
-    pts.append((trace.own_final.x, trace.own_final.y))
-    return pts
+def _tracks(trace: SimTrace):
+    """The (x, y) points of the ownship's and the intruder's tracks, final poses included."""
+    own = [(s.own.x, s.own.y) for s in trace.steps] + [(trace.own_final.x, trace.own_final.y)]
+    intruder = [(s.intruder.x, s.intruder.y) for s in trace.steps] + [(trace.intruder_final.x, trace.intruder_final.y)]
+    return own, intruder
 
 
-def _intruder_points(trace: SimTrace):
-    pts = [(s.intruder.x, s.intruder.y) for s in trace.steps]
-    pts.append((trace.intruder_final.x, trace.intruder_final.y))
-    return pts
+def _separation_axes(traces: list[SimTrace], rho: float) -> tuple[Frame, list[str]]:
+    """Separation axes up to the largest of rho and every separation, over the
+    longest trace's step indices, with the floor rho dashed."""
+    hi = max([rho] + [s.separation for t in traces for s in t.steps])
+    frame = Frame(0.0, float(max(len(t.steps) for t in traces) - 1), 0.0, hi * 1.05)
+    body = _axes(frame, "time [s]", "separation [m]")
+    body.append(_polyline(frame, [(frame.x_lo, rho), (frame.x_hi, rho)], RED, 1.5, dashed=True))
+    return frame, body
+
+
+def _bounded_panel(points, lo: float, hi: float, pad: float, y_label: str, guides, color: str) -> list[str]:
+    """One control panel of (t, value) points: the axes padded around [lo, hi], gray dashed guides and the values."""
+    frame = Frame(0.0, float(points[-1][0]), lo - pad, hi + pad)
+    parts = _axes(frame, "time [s]", y_label)
+    for guide in guides:
+        parts.append(_polyline(frame, [(frame.x_lo, guide), (frame.x_hi, guide)], GRAY, 1.0, dashed=True))
+    parts.append(_polyline(frame, points, color, 2.0))
+    return parts
 
 
 def _bounds_of(points_lists) -> tuple[float, float, float, float]:
@@ -160,11 +175,10 @@ def _bounds_of(points_lists) -> tuple[float, float, float, float]:
 def plot_trajectories(trace: SimTrace) -> str:
     """Ownship (blue) and intruder (red) tracks, the target disc (green), and
     the separation floor circle at the closest-approach step."""
-    own = _own_points(trace)
-    intr = _intruder_points(trace)
+    own, intr = _tracks(trace)
     spec, target = trace.spec, trace.spec.mpc.target
     m = metrics(trace)
-    worst = trace.steps[[s.t for s in trace.steps].index(m.min_separation_time)]
+    worst = trace.steps[[s.t for s in trace.steps].index(m["min_separation_time"])]
 
     x_lo, x_hi, y_lo, y_hi = _bounds_of([own, intr, [(target.x, target.y)]])
     frame = Frame(x_lo, x_hi, y_lo, y_hi, equal_aspect=True)
@@ -177,45 +191,28 @@ def plot_trajectories(trace: SimTrace) -> str:
     body.append(_marker(frame, intr[0][0], intr[0][1], RED))
     body.append(_text(WIDTH - 180, 36, "ownship", color=BLUE))
     body.append(_text(WIDTH - 180, 52, "intruder", color=RED))
-    body.append(_text(WIDTH - 180, 68, f"min sep {m.min_separation:.1f} m @ t={m.min_separation_time}", color=BLACK))
+    body.append(_text(WIDTH - 180, 68, f"min sep {m['min_separation']:.1f} m @ t={m['min_separation_time']}", color=BLACK))
     return _document("trajectories", body)
 
 
 def plot_separation(trace: SimTrace) -> str:
     """Separation over time with the floor as a dashed line."""
-    seps = [(s.t, s.separation) for s in trace.steps]
     rho = trace.spec.mpc.min_separation
-    hi = max(max(s for _, s in seps), rho) * 1.05
-    frame = Frame(0.0, float(seps[-1][0]), 0.0, hi)
-    body = _axes(frame, "time [s]", "separation [m]")
-    body.append(_polyline(frame, [(frame.x_lo, rho), (frame.x_hi, rho)], RED, 1.5, dashed=True))
-    body.append(_polyline(frame, seps, BLUE, 2.0))
+    frame, body = _separation_axes([trace], rho)
+    body.append(_polyline(frame, [(s.t, s.separation) for s in trace.steps], BLUE, 2.0))
     body.append(_text(WIDTH - 220, 36, f"floor rho = {rho:g} m", color=RED))
     return _document("ownship-intruder separation", body)
 
 
 def plot_controls(trace: SimTrace) -> str:
     """Applied speed and angular rate with their box bounds."""
-    ts = [s.t for s in trace.steps]
-    vs = [(s.t, s.applied.speed) for s in trace.steps]
-    us = [(s.t, s.applied.angular_rate) for s in trace.steps]
     ob = trace.spec.mpc.own_bounds
-
-    pad_v = 0.1 * (ob.v_max - ob.v_min + 1.0)
-    frame_v = Frame(0.0, float(ts[-1]), ob.v_min - pad_v, ob.v_max + pad_v)
-    parts = _axes(frame_v, "time [s]", "speed [m/s]")
-    for bound in (ob.v_min, ob.v_max):
-        parts.append(_polyline(frame_v, [(frame_v.x_lo, bound), (frame_v.x_hi, bound)], GRAY, 1.0, dashed=True))
-    parts.append(_polyline(frame_v, vs, BLUE, 2.0))
-
-    pad_u = 0.15 * (ob.u_max - ob.u_min)
-    frame_u = Frame(0.0, float(ts[-1]), ob.u_min - pad_u, ob.u_max + pad_u)
+    parts = _bounded_panel([(s.t, s.applied.speed) for s in trace.steps], ob.v_min, ob.v_max,
+                           0.1 * (ob.v_max - ob.v_min + 1.0), "speed [m/s]", (ob.v_min, ob.v_max), BLUE)
     parts.append(f'<g transform="translate(0,{HEIGHT})">')
     parts.append(_text(MARGIN_L, 18, "applied angular velocity", 14))
-    parts.extend(_axes(frame_u, "time [s]", "angular rate [rad/s]"))
-    for bound in (ob.u_min, 0.0, ob.u_max):
-        parts.append(_polyline(frame_u, [(frame_u.x_lo, bound), (frame_u.x_hi, bound)], GRAY, 1.0, dashed=True))
-    parts.append(_polyline(frame_u, us, RED, 2.0))
+    parts += _bounded_panel([(s.t, s.applied.angular_rate) for s in trace.steps], ob.u_min, ob.u_max,
+                            0.15 * (ob.u_max - ob.u_min), "angular rate [rad/s]", (ob.u_min, 0.0, ob.u_max), RED)
     parts.append("</g>")
     return _document("applied linear velocity", parts, 2 * HEIGHT)
 
@@ -223,19 +220,18 @@ def plot_controls(trace: SimTrace) -> str:
 def plot_monte_carlo_trajectories(report: MonteCarloReport) -> str:
     """All realizations thin, the nominal run black."""
     traces, nominal = [t for t in report.runs if t.steps], report.nominal
-    all_pts = [_own_points(t) for t in traces] + [_intruder_points(t) for t in traces]
-    all_pts.append(_own_points(nominal))
-    all_pts.append(_intruder_points(nominal))
-    x_lo, x_hi, y_lo, y_hi = _bounds_of(all_pts)
+    tracks = [_tracks(t) for t in traces]
+    nominal_own, nominal_intruder = _tracks(nominal)
+    x_lo, x_hi, y_lo, y_hi = _bounds_of([pts for pair in tracks for pts in pair] + [nominal_own, nominal_intruder])
     frame = Frame(x_lo, x_hi, y_lo, y_hi, equal_aspect=True)
     target = report.spec.mpc.target
     body = _axes(frame, "x [m]", "y [m]")
     body.append(_circle(frame, target.x, target.y, report.spec.target_radius, GREEN, fill=True))
-    for t in traces:
-        body.append(_polyline(frame, _intruder_points(t), RED, 0.8, opacity=0.5))
-        body.append(_polyline(frame, _own_points(t), BLUE, 0.8, opacity=0.5))
-    body.append(_polyline(frame, _intruder_points(nominal), BLACK, 2.0))
-    body.append(_polyline(frame, _own_points(nominal), BLACK, 2.0))
+    for own, intruder in tracks:
+        body.append(_polyline(frame, intruder, RED, 0.8, opacity=0.5))
+        body.append(_polyline(frame, own, BLUE, 0.8, opacity=0.5))
+    body.append(_polyline(frame, nominal_intruder, BLACK, 2.0))
+    body.append(_polyline(frame, nominal_own, BLACK, 2.0))
     body.append(_text(WIDTH - 220, 36, f"{len(traces)} disturbed runs", color=BLUE))
     body.append(_text(WIDTH - 220, 52, "nominal in black", color=BLACK))
     return _document("Monte-Carlo trajectories", body)
@@ -244,14 +240,7 @@ def plot_monte_carlo_trajectories(report: MonteCarloReport) -> str:
 def plot_monte_carlo_separation(report: MonteCarloReport) -> str:
     """Separation curves of every run with the floor dashed; nominal black."""
     traces, nominal = [t for t in report.runs if t.steps], report.nominal
-    rho = report.spec.mpc.min_separation
-    hi = rho
-    for t in traces + [nominal]:
-        hi = max(hi, max(s.separation for s in t.steps))
-    t_hi = max(len(t.steps) for t in traces + [nominal]) - 1
-    frame = Frame(0.0, float(t_hi), 0.0, hi * 1.05)
-    body = _axes(frame, "time [s]", "separation [m]")
-    body.append(_polyline(frame, [(frame.x_lo, rho), (frame.x_hi, rho)], RED, 1.5, dashed=True))
+    frame, body = _separation_axes(traces + [nominal], report.spec.mpc.min_separation)
     for t in traces:
         body.append(_polyline(frame, [(s.t, s.separation) for s in t.steps], BLUE, 0.8, opacity=0.5))
     body.append(_polyline(frame, [(s.t, s.separation) for s in nominal.steps], BLACK, 2.0))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
 
 from .dubins import Pose
 from .dynamics import ControlBounds
@@ -220,14 +219,13 @@ def trace_to_csv(trace: SimTrace) -> str:
 
 def summary_doc(trace: SimTrace) -> dict:
     """Deterministic per-run summary (no timing)."""
-    m = metrics(trace)
     return {
         "mode": trace.spec.mpc.mode.value,
         "rho": trace.spec.mpc.min_separation,
         "steps": len(trace.steps),
         "arrived": trace.arrived,
         "terminal_status": trace.terminal_status,
-        "metrics": asdict(m),
+        "metrics": metrics(trace),
         "flagged_steps": sum(1 for s in trace.steps if s.solver_status == STATUS_INFEASIBLE),
         "seed": trace.spec.rng_seed,
     }

@@ -110,10 +110,11 @@ class SimulationAborted(RuntimeError):
 
 
 def intruder_plan(spec: ScenarioSpec) -> ControlSchedule:
-    """Per-step schedule of the Dubins path from the intruder's start to its waypoint."""
+    """Per-step schedule of the Dubins path from the intruder's start to its
+    waypoint, up to the last rate a run reads: step max_steps - 1's horizon."""
     bounds = spec.mpc.intruder_bounds
     path = shortest_path(spec.intruder_start, spec.intruder_target, bounds.v_max / bounds.u_max)
-    return control_schedule(path, bounds.v_max, spec.mpc.dt)
+    return control_schedule(path, bounds.v_max, spec.mpc.dt, spec.max_steps + spec.mpc.horizon)
 
 
 def run_closed_loop(
@@ -192,30 +193,20 @@ def _finish_trace(spec: ScenarioSpec, steps: list[SimStep], own: Pose, intruder:
     return SimTrace(spec=spec, steps=steps, own_final=own, intruder_final=intruder, arrived=arrived, terminal_status=status)
 
 
-@dataclass(frozen=True)
-class SimMetrics:
-    min_separation: float
-    min_separation_time: int
-    path_length: float
-    arrival_time: int | None
-    violation_stages: int
-    max_solver_iterations: int
-
-
-def metrics(trace: SimTrace) -> SimMetrics:
-    """Summary metrics of the recorded steps."""
+def metrics(trace: SimTrace) -> dict:
+    """Summary metrics of the recorded steps, as summary.json's `metrics`."""
     if not trace.steps:
         raise ValueError("metrics require a nonempty trace")
     seps = [s.separation for s in trace.steps]
     idx = int(np.argmin(seps))
-    return SimMetrics(
-        min_separation=seps[idx],
-        min_separation_time=trace.steps[idx].t,
-        path_length=sum(trace.spec.mpc.dt * s.applied.speed for s in trace.steps),
-        arrival_time=len(trace.steps) if trace.arrived else None,
-        violation_stages=sum(1 for s in seps if s < trace.spec.mpc.min_separation),
-        max_solver_iterations=max(s.inner_iters for s in trace.steps),
-    )
+    return {
+        "min_separation": seps[idx],
+        "min_separation_time": trace.steps[idx].t,
+        "path_length": sum(trace.spec.mpc.dt * s.applied.speed for s in trace.steps),
+        "arrival_time": len(trace.steps) if trace.arrived else None,
+        "violation_stages": sum(1 for s in seps if s < trace.spec.mpc.min_separation),
+        "max_solver_iterations": max(s.inner_iters for s in trace.steps),
+    }
 
 
 @dataclass
@@ -243,10 +234,10 @@ class MonteCarloReport:
         ref = self.nominal.steps[common].intruder
         deviations = [separation(t.steps[common].intruder, ref) for t in complete]
 
-        lengths = [m.path_length for m in per_run]
+        lengths = [m["path_length"] for m in per_run]
         return {
-            "min_min_separation": min(m.min_separation for m in per_run),
-            "violation_runs": sum(1 for m in per_run if m.violation_stages > 0),
+            "min_min_separation": min(m["min_separation"] for m in per_run),
+            "violation_runs": sum(1 for m in per_run if m["violation_stages"] > 0),
             "path_length": {"min": min(lengths), "mean": sum(lengths) / len(lengths), "max": max(lengths)},
             "terminal_spread": {
                 "max": max(deviations),

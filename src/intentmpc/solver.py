@@ -92,7 +92,6 @@ class NlpProblem:
     array and J^T w = 0.
     """
 
-    dimension: int
     objective: Callable[[np.ndarray], float]
     lower: np.ndarray
     upper: np.ndarray
@@ -105,8 +104,8 @@ class NlpProblem:
     def __post_init__(self) -> None:
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
-        if lo.shape != (self.dimension,) or hi.shape != (self.dimension,):
-            raise ValueError(f"bounds must have shape ({self.dimension},)")
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise ValueError(f"bounds must be 1-D and of one length, got shapes {lo.shape} and {hi.shape}")
         if np.any(lo > hi):
             raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
@@ -156,9 +155,9 @@ def _checked(what: str, z: np.ndarray, value) -> np.ndarray:
     return arr
 
 
-def _lbfgsb(fg: Callable[[np.ndarray], tuple[float, np.ndarray]], z: np.ndarray, f0: float, g0: np.ndarray,
+def _lbfgsb(fg: Callable[[np.ndarray], tuple[float, np.ndarray]], z: np.ndarray,
             lower: np.ndarray, upper: np.ndarray, max_iters: int, gtol: float) -> tuple[np.ndarray, float, int]:
-    """L-BFGS-B over the box from z, where fg(z) = (f0, g0); returns (x, projected-gradient norm at x, iterations).
+    """L-BFGS-B over the box from z; returns (x, projected-gradient norm at x, iterations).
 
     scipy 1.17's `_minimize_lbfgsb` loop around the reverse-communication `setulb`
     (Zhu, Byrd, Lu & Nocedal 1997, ACM TOMS 23, Alg. 778), without the wrapper.  As
@@ -176,12 +175,12 @@ def _lbfgsb(fg: Callable[[np.ndarray], tuple[float, np.ndarray]], z: np.ndarray,
     wa, iwa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, np.int32)
     task, ln_task, lsave, isave = (np.zeros(k, np.int32) for k in (2, 2, 4, 44))
     dsave = np.zeros(29)
-    last_x, last_f, last_g = z, f0, g0
-    evals, iters = 1, 0
+    last_x = None  # setulb asks for f and g at z first
+    evals, iters = 0, 0
     while True:
         setulb(m, x, low, up, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, LBFGSB_MAX_LINE_SEARCH, ln_task)
         if task[0] == 3:  # FG: wants f and g at x
-            if not np.array_equal(x, last_x):
+            if last_x is None or not np.array_equal(x, last_x):
                 last_x = x.copy()
                 last_f, last_g = fg(last_x)
                 evals += 1
@@ -201,10 +200,9 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
 
     Returns the best iterate found: the least-objective feasible point when
     one exists, otherwise the least-violation point with status
-    `infeasible_stationary`.  Each outer iteration evaluates the augmented
-    Lagrangian at its start once and hands that evaluation to L-BFGS-B,
-    which stops there without an iteration when the start passes its
-    projected-gradient test.
+    `infeasible_stationary`.  L-BFGS-B evaluates each outer iteration's
+    augmented Lagrangian first at its start, and stops there without an
+    iteration when the start passes its projected-gradient test.
     """
     config = config or SolverConfig()
     gtol = INNER_GTOL_FRACTION * config.optimality_tol
@@ -244,8 +242,7 @@ def solve(problem: NlpProblem, z0: np.ndarray, config: SolverConfig | None = Non
     outer_done = 0
     seen_states: set[bytes] = set()
     for outer in range(config.outer_max_iters):
-        # The start's evaluation is L-BFGS-B's first.
-        x, pg_norm, nit = _lbfgsb(al_value_and_grad, z, *al_value_and_grad(z), problem.lower, problem.upper, config.inner_max_iters, gtol)
+        x, pg_norm, nit = _lbfgsb(al_value_and_grad, z, problem.lower, problem.upper, config.inner_max_iters, gtol)
         z = problem.project(x)
         inner_total += nit
         outer_done = outer + 1

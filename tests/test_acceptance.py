@@ -191,7 +191,7 @@ def test_criterion_4_nominal_violation(unconstrained_trace):
     with criterion(4, "unconstrained flight through the reference crossing violates the floor"):
         m = metrics(unconstrained_trace)
         rho = unconstrained_trace.spec.mpc.min_separation
-        assert m.min_separation < rho, f"min separation {m.min_separation:.2f} vs rho {rho}"
+        assert m["min_separation"] < rho, f"min separation {m['min_separation']:.2f} vs rho {rho}"
         assert _timings["unconstrained"] < 30.0
 
 
@@ -200,7 +200,7 @@ def test_criterion_5_both_controllers_safe(classic_trace, tree_trace):
         rho = classic_trace.spec.mpc.min_separation
         for name, trace in (("classic", classic_trace), ("scenario-tree", tree_trace)):
             m = metrics(trace)
-            assert m.min_separation >= rho - 1e-3, f"{name} min separation {m.min_separation:.4f}"
+            assert m["min_separation"] >= rho - 1e-3, f"{name} min separation {m['min_separation']:.4f}"
             assert trace.arrived, f"{name} did not reach the target disc"
         assert _timings["classic"] < 300.0
         assert _timings["tree"] < 300.0
@@ -228,8 +228,8 @@ def test_criterion_7_intent_value(intent_spec):
             trace = run_closed_loop(replace(intent_spec, mpc=replace(intent_spec.mpc, mode=mode)))
             m = metrics(trace)
             assert trace.arrived, f"{mode.value} did not arrive"
-            assert m.min_separation >= rho - 1e-3, f"{mode.value} unsafe"
-            lengths[mode] = m.path_length
+            assert m["min_separation"] >= rho - 1e-3, f"{mode.value} unsafe"
+            lengths[mode] = m["path_length"]
         for mode in (MpcMode.SCENARIO_TREE, MpcMode.CLASSIC):
             ratio = lengths[mode] / lengths[MpcMode.NO_INTENT]
             assert ratio <= 0.99, f"{mode.value} only {100 * (1 - ratio):.2f}% shorter"
@@ -239,7 +239,7 @@ def test_criterion_8_monte_carlo_robustness(mc_half_deg):
     with criterion(8, "all 20 disturbed runs respect the separation floor"):
         rho = mc_half_deg.spec.mpc.min_separation
         assert all(t.error is None for t in mc_half_deg.runs)
-        per_run = [metrics(t).min_separation for t in mc_half_deg.runs]
+        per_run = [metrics(t)["min_separation"] for t in mc_half_deg.runs]
         assert len(per_run) == 20
         assert min(per_run) >= rho, f"worst run min separation {min(per_run):.3f}"
         assert mc_half_deg.aggregate["violation_runs"] == 0

@@ -241,6 +241,23 @@ class TestControlSchedule:
             heading += dt * rate
         assert abs(math.remainder(heading - goal.heading, 2.0 * math.pi)) <= 1e-9
 
+    def test_capped_schedule_is_the_uncapped_prefix(self):
+        path = shortest_path(Pose(0.0, 0.0, 0.0), Pose(1e4, -300.0, 2.0), RADIUS_INTRUDER)
+        assert path.total_length > 1e4
+        full = np.array(control_schedule(path, 10.0, 1.0).angular_rates)
+        for cap in (0, 1, 230, len(full), len(full) + 7):
+            capped = np.array(control_schedule(path, 10.0, 1.0, cap).angular_rates)
+            assert capped.tobytes() == full[:cap].tobytes()
+
+    def test_step_count_must_be_finite_or_capped(self):
+        path = shortest_path(Pose(0.0, 0.0, 0.0), Pose(1e20, 0.0, 0.0), 1.0)
+        with pytest.raises(ValueError, match="steps"):
+            control_schedule(path, 1e-300, 1.0)
+        assert len(control_schedule(path, 1e-300, 1.0, 5).angular_rates) == 5
+        # speed * dt underflows to zero.
+        with pytest.raises(ValueError, match="speed \\* dt"):
+            control_schedule(path, 1e-300, 1e-300, 5)
+
     def test_past_the_end_reads_zero(self):
         path = solve_word(Pose(0, 0, 0), Pose(200, 0, 0), 100.0, DubinsWord.LSL)
         sched = control_schedule(path, 10.0, 1.0)

@@ -510,6 +510,13 @@ class TestCli:
         for radius in ("-1", "0", "nan", "inf"):
             self.dubins_rejects(capsys, "--radius", radius)
 
+    def test_dubins_unbounded_step_count_exits_2(self, capsys):
+        # 1e20 m at 1e-300 m per step is more steps than a float holds.
+        args = ["--start", "0", "0", "0", "--goal", "1e20", "0", "0", "--radius", "1", "--speed", "1e-300"]
+        assert main(["dubins", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("option, value", [("--speed", "nan"), ("--speed", "inf"), ("--dt", "nan"), ("--dt", "inf"), ("--start", "nan")])
     def test_dubins_nonfinite_argument_exits_2(self, option, value, capsys):
         self.dubins_rejects(capsys, option, value)

@@ -106,7 +106,7 @@ class TestConfig:
 class TestBuildProblem:
     def test_scenario_tree_dimensions(self):
         problem, tree = build_problem(Pose(0, 0, 0), Pose(800, -350, 2.0), 0, crossing_schedule(), config())
-        assert problem.dimension == 60
+        assert problem.lower.shape == problem.upper.shape == (60,)
         z = cold_start(config())
         assert problem.constraints(z).size == 27 * 31
         assert len(tree.trajectories) == 27
@@ -599,7 +599,7 @@ class TestScreen:
         full, _ = build_problem(own, intruder, t, schedule, cfg)
         # Every row is negative over the box: at its corners and inside.
         rng = np.random.default_rng(seed)
-        for z in (full.lower, full.upper, *rng.uniform(full.lower, full.upper, (4, full.dimension))):
+        for z in (full.lower, full.upper, *rng.uniform(full.lower, full.upper, (4, full.lower.size))):
             assert np.all(full.constraints(z) < 0.0)
         expected = solve(full, cold_start(cfg), cfg.solver)
 

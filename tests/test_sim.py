@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from intentmpc import (
     run_monte_carlo,
     step,
 )
-from intentmpc.scenario_io import report_doc, trace_to_csv
+from intentmpc.scenario_io import load_scenario, report_doc, trace_to_csv
 from intentmpc.sim import SimStep, SimTrace, SimulationAborted, intruder_plan
 from intentmpc.solver import NumericalDomainError, SolverConfig
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 OWN_BOUNDS = ControlBounds(v_min=6.0, v_max=9.0, u_min=-0.1, u_max=0.1)
 INTRUDER_BOUNDS = ControlBounds(v_min=10.0, v_max=10.0, u_min=-0.07, u_max=0.07)
 FAST_SOLVER = SolverConfig(outer_max_iters=8, inner_max_iters=120, optimality_tol=1e-3)
@@ -116,10 +118,10 @@ class TestClosedLoop:
         assert trace.arrived
         assert trace.terminal_status == "arrived"
         m = metrics(trace)
-        assert m.violation_stages == 0
+        assert m["violation_stages"] == 0
         # Distance to the 20 m arrival disc is 100 m; the path cannot be
         # shorter, and the straight run should not wander.
-        assert 100.0 - 1e-6 <= m.path_length <= 9.0 * len(trace.steps) + 1e-6
+        assert 100.0 - 1e-6 <= m["path_length"] <= 9.0 * len(trace.steps) + 1e-6
 
     def test_replay_reproduces_poses_bitwise(self):
         trace = run_closed_loop(conflict_spec())
@@ -143,11 +145,20 @@ class TestClosedLoop:
         for s in trace.steps:
             assert [s.intruder.x, s.intruder.y, s.intruder.heading] == nominal[s.t]
 
+    @pytest.mark.parametrize("scenario", ["reference_crossing.json", "intent_comparison.json"])
+    def test_intruder_plan_stops_at_the_last_rate_a_run_reads(self, scenario):
+        spec = load_scenario(SCENARIOS / scenario)
+        cap = spec.max_steps + spec.mpc.horizon
+        # The shipped schedules end before the cap, so capping them moves no output.
+        assert len(intruder_plan(spec).angular_rates) < cap
+        far = replace(spec, intruder_target=Pose(-1e9, 0.0, math.pi))
+        assert len(intruder_plan(far).angular_rates) == cap
+
     def test_unconstrained_conflict_violates(self):
         trace = run_closed_loop(conflict_spec())
         m = metrics(trace)
-        assert m.min_separation < 60.0
-        assert m.violation_stages > 0
+        assert m["min_separation"] < 60.0
+        assert m["violation_stages"] > 0
         assert trace.terminal_status == "violation_flagged"
         assert trace.arrived  # it still reaches the target disc
 
@@ -203,8 +214,8 @@ class TestClosedLoop:
                 step(intr_nominal[-1], ControlInput(cfg.intruder_bounds.v_max, intr_sched.rate_at(k)), cfg.dt)
             )
         oracle = min(separation(a, b) for a, b in zip(own_nominal, intr_nominal))
-        assert m.min_separation == oracle
-        assert m.min_separation_time == 0
+        assert m["min_separation"] == oracle
+        assert m["min_separation_time"] == 0
         assert trace.arrived
 
 
@@ -242,7 +253,7 @@ class TestMetrics:
             [Pose(500, 0, 0), Pose(490, 0, 0)],
             [10.0, 10.0],
         )
-        assert metrics(trace).path_length == 20.0
+        assert metrics(trace)["path_length"] == 20.0
 
     def test_three_four_five_separation(self):
         trace = self._synthetic(
@@ -251,9 +262,9 @@ class TestMetrics:
             [10.0, 10.0],
         )
         m = metrics(trace)
-        assert m.min_separation == 5.0
-        assert m.min_separation_time == 1
-        assert m.violation_stages == 1
+        assert m["min_separation"] == 5.0
+        assert m["min_separation_time"] == 1
+        assert m["violation_stages"] == 1
 
     def test_violation_count_zero_iff_min_above_rho(self):
         trace = self._synthetic(
@@ -262,8 +273,8 @@ class TestMetrics:
             [10.0, 10.0],
         )
         m = metrics(trace)
-        assert m.violation_stages == 0
-        assert m.min_separation >= trace.spec.mpc.min_separation
+        assert m["violation_stages"] == 0
+        assert m["min_separation"] >= trace.spec.mpc.min_separation
 
     def test_empty_trace_rejected(self):
         trace = run_closed_loop(quiet_spec(own_start=Pose(110, 0, 0)))
@@ -277,7 +288,7 @@ class TestMonteCarlo:
         report = run_monte_carlo(spec, runs=1)
         solo = run_closed_loop(replace(spec, rng_seed=spec.rng_seed + 0))
         assert metrics(report.runs[0]) == metrics(solo)
-        assert report.aggregate["min_min_separation"] == metrics(solo).min_separation
+        assert report.aggregate["min_min_separation"] == metrics(solo)["min_separation"]
 
     def test_seed_determinism(self):
         deg = math.pi / 180.0

@@ -34,7 +34,6 @@ def projected_grad_norm(lower: np.ndarray, upper: np.ndarray, z: np.ndarray, gra
 
 def clipped_quadratic() -> NlpProblem:
     return NlpProblem(
-        dimension=1,
         objective=lambda z: (z[0] - 3.0) ** 2,
         objective_grad=lambda z: np.array([2.0 * (z[0] - 3.0)]),
         lower=np.array([-1.0]),
@@ -45,7 +44,6 @@ def clipped_quadratic() -> NlpProblem:
 
 def circle_constrained_linear() -> NlpProblem:
     return NlpProblem(
-        dimension=2,
         objective=lambda z: z[0] + z[1],
         objective_grad=lambda z: np.array([1.0, 1.0]),
         constraints=lambda z: np.array([z[0] ** 2 + z[1] ** 2 - 1.0]),
@@ -68,7 +66,6 @@ def rosenbrock() -> NlpProblem:
         )
 
     return NlpProblem(
-        dimension=2,
         objective=f,
         objective_grad=g,
         lower=np.array([-5.0, -5.0]),
@@ -80,7 +77,6 @@ def rosenbrock() -> NlpProblem:
 def infeasible_bound() -> NlpProblem:
     # x >= 2 is impossible inside the box [-1, 1].
     return NlpProblem(
-        dimension=1,
         objective=lambda z: z[0] ** 2,
         objective_grad=lambda z: np.array([2.0 * z[0]]),
         constraints=lambda z: np.array([2.0 - z[0]]),
@@ -137,7 +133,6 @@ class TestSolve:
 
     def test_nonfinite_objective_raises_with_coordinates(self):
         problem = NlpProblem(
-            dimension=2,
             objective=lambda z: float("nan"),
             objective_grad=lambda z: np.zeros(2),
             lower=np.full(2, -1.0),
@@ -184,7 +179,6 @@ class TestSolve:
     )
     def test_nonfinite_source_is_named(self, what, bad, callables):
         fields = dict(
-            dimension=2,
             objective=lambda z: float(z @ z),
             objective_grad=lambda z: 2.0 * z,
             lower=np.full(2, -1.0),
@@ -196,14 +190,22 @@ class TestSolve:
         assert str(err.value).startswith(f"{what} non-finite")
         assert err.value.bad_indices.tolist() == bad
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(np.zeros(2), np.ones(3)), (np.zeros((2, 1)), np.ones((2, 1))), (np.float64(0.0), np.float64(1.0))],
+        ids=["lengths-differ", "2-d", "0-d"],
+    )
+    def test_bounds_must_be_1d_of_one_length(self, lower, upper):
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            NlpProblem(objective=lambda z: 0.0, objective_grad=np.zeros_like, lower=lower, upper=upper, **NO_ROWS)
+
     def test_missing_objective_gradient_rejected(self):
         with pytest.raises(TypeError, match="objective_grad"):
-            NlpProblem(dimension=1, objective=lambda z: z[0] ** 2, lower=np.array([-1.0]), upper=np.array([1.0]), **NO_ROWS)
+            NlpProblem(objective=lambda z: z[0] ** 2, lower=np.array([-1.0]), upper=np.array([1.0]), **NO_ROWS)
 
     def test_constraints_without_weighted_gradient_rejected(self):
         with pytest.raises(TypeError, match="constraints_weighted_grad"):
             NlpProblem(
-                dimension=1,
                 objective=lambda z: z[0] ** 2,
                 objective_grad=lambda z: 2.0 * z,
                 constraints=lambda z: np.array([1.0 - z[0]]),
@@ -277,7 +279,6 @@ class TestStartTest:
         assume(np.any(lower < upper))  # scipy does not run L-BFGS-B on a fully fixed box
         # A quadratic whose gradient at z is exactly g.
         problem = NlpProblem(
-            dimension=z.size,
             objective=lambda x: 0.5 * curvature * float(np.dot(x - z, x - z)) + float(np.dot(g, x - z)),
             objective_grad=lambda x: curvature * (x - z) + g,
             lower=lower,
@@ -325,24 +326,25 @@ class TestStartTest:
             grad_calls += 1
             return base.objective_grad(z)
 
-        # Points at which each driver call evaluated the AL itself.
-        fresh: list[list] = []
+        # Each driver call's start and the points at which it evaluated the AL.
+        calls: list[tuple[np.ndarray, list]] = []
         driver = solver._lbfgsb
 
-        def recording(fg, *args):
+        def recording(fg, z, *args):
             points = []
-            fresh.append(points)
-            return driver(lambda x: points.append(x) or fg(x), *args)
+            calls.append((z.copy(), points))
+            return driver(lambda x: points.append(x.copy()) or fg(x), z, *args)
 
         monkeypatch.setattr(solver, "_lbfgsb", recording)
         res = solve(replace(base, objective_grad=counted_grad), np.array([0.0]), SolverConfig(outer_max_iters=8))
-        assert len(fresh) == res.outer_iters
+        assert len(calls) == res.outer_iters
+        # Every call evaluates first at its start, bit for bit, and later only
+        # at points other than the last one evaluated: no other evaluation.
+        assert all(points[0].tobytes() == z.tobytes() for z, points in calls)
+        assert grad_calls == sum(len(points) for _, points in calls)
         # The first outer iteration moves; later ones start on the upper bound
         # with the multiplier pushing into it, and stop at their start.
-        assert fresh[0] and not all(fresh)
-        # One evaluation per outer start, handed to the driver, plus the
-        # driver's own at points other than the last one evaluated.
-        assert grad_calls == res.outer_iters + sum(len(points) for points in fresh)
+        assert len(calls[0][1]) > 1 and any(len(points) == 1 for _, points in calls)
 
 
 def quadratic(a: np.ndarray, b: np.ndarray):
@@ -394,12 +396,10 @@ def driver_and_scipy(fg, lower, upper, x0, max_iters):
         fresh += 1
         return fg(x)
 
-    f0, g0 = fg(x0)
-    x, pg_norm, nit = solver._lbfgsb(counted, x0, f0, g0, lower, upper, max_iters, GTOL)
+    x, pg_norm, nit = solver._lbfgsb(counted, x0, lower, upper, max_iters, GTOL)
     res = minimize(fg, x0, jac=True, method="L-BFGS-B", bounds=Bounds(lower, upper), options={**LBFGSB_OPTIONS, "maxiter": max_iters})
-    # The driver is handed the start's evaluation; scipy counts it.
     theirs = (res.x.tobytes(), projected_grad_norm(lower, upper, res.x, res.jac), res.nit, res.nfev)
-    return (x.tobytes(), pg_norm, nit, 1 + fresh), theirs, res
+    return (x.tobytes(), pg_norm, nit, fresh), theirs, res
 
 
 class TestLbfgsbDriver:
@@ -433,7 +433,7 @@ class TestLbfgsbDriver:
         handed = []
         monkeypatch.setattr(solver, "setulb", lambda *args: handed.append(args[6]) or setulb(*args))
         x0 = np.array([-1.2, 1.0, 0.5])
-        _, _, nit = solver._lbfgsb(fg, x0, *fg(x0), np.full(3, -2.0), np.full(3, 2.0), 200, GTOL)
+        _, _, nit = solver._lbfgsb(fg, x0, np.full(3, -2.0), np.full(3, 2.0), 200, GTOL)
         assert nit > 0 and len(returned) > 1
         assert not any(h is r for h in handed for r in returned)
 
@@ -468,7 +468,6 @@ class TestCheckGradient:
 
     def test_detects_wrong_gradient(self):
         problem = NlpProblem(
-            dimension=1,
             objective=lambda z: z[0] ** 2,
             objective_grad=lambda z: np.array([3.0 * z[0] + 1.0]),
             lower=np.array([-1.0]),
