@@ -1,16 +1,11 @@
 """Command-line entry points: simulate, montecarlo, dubins.
 
 Exit codes: 0 success, 2 invalid scenario or arguments (stderr names the
-offending JSON path, option or environment variable; an unreadable scenario
-file, an --out that is a file or an INTENT_MPC_THREADS that is not a
-nonnegative integer exits 2 before any run), 3 solver numerical failure
-(partial outputs are still written).  INTENT_MPC_THREADS caps Monte-Carlo
-parallelism (0 = one worker per CPU this process may run on; unset =
-serial).  A batch solves the steps its runs share in this process, and the
-pool starts only for the runs that leave that shared prefix.  For those, with
-two or more workers, also set OPENBLAS_NUM_THREADS=1: otherwise the BLAS
-threads of every worker spin between calls, outnumber the cores, and the
-pool runs slower than one process.
+offending JSON path or option; an unreadable scenario file or an --out that
+is a file exits 2 before any run), 3 solver numerical failure (partial
+outputs are still written).  A Monte-Carlo batch solves the steps its runs
+share in this process, and pools the runs that leave that shared prefix over
+the CPUs this process may run on (`taskset` narrows them).
 """
 
 from __future__ import annotations
@@ -35,22 +30,6 @@ from .sim import SimulationAborted, run_closed_loop, run_monte_carlo
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_SOLVER_FAILURE = 3
-
-
-def _monte_carlo_workers() -> int:
-    raw = os.environ.get("INTENT_MPC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"INTENT_MPC_THREADS: expected an integer, got {raw!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"INTENT_MPC_THREADS: must be >= 0, got {value}")
-    if value:
-        return value
-    # The CPUs this process may run on, not every CPU of the machine.
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _inputs(args):
@@ -102,7 +81,9 @@ def cmd_montecarlo(args) -> int:
     if args.runs < 1:
         raise argparse.ArgumentTypeError(f"--runs must be at least 1, got {args.runs}")
     spec, out = _inputs(args)
-    report = run_monte_carlo(spec, runs=args.runs, max_workers=_monte_carlo_workers())
+    # The CPUs this process may run on, not every CPU of the machine.
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    report = run_monte_carlo(spec, runs=args.runs, max_workers=workers)
     failures = 0
     for index, trace in enumerate(report.runs):
         if trace.steps:

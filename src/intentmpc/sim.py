@@ -43,6 +43,9 @@ class Disturbance:
             raise ValueError(f"kind must be {DISTURBANCE_NONE!r} or {DISTURBANCE_UNIFORM!r}, got {self.kind!r}")
         if self.kind == DISTURBANCE_UNIFORM and not self.lo <= self.hi:
             raise ValueError(f"lo must not exceed hi, got [{self.lo}, {self.hi}]")
+        # numpy draws uniform(lo, hi) only where hi - lo is a finite float.
+        if self.kind == DISTURBANCE_UNIFORM and not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"lo and hi must span a finite range, got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)

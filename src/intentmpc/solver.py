@@ -30,6 +30,11 @@ def _load_lbfgsb(scipy_dir: str):
     import time and modules.  The extension needs only numpy.  scipy 1.15
     ported L-BFGS-B to C as optimize/_lbfgsb and gave `setulb` its present
     (..., maxls, ln_task) signature, hence the floor scipy>=1.15.
+
+    Loading the extension loads scipy's OpenBLAS, which reads its thread count
+    then and only then.  Its extra threads spin between the solver's small
+    calls, so it is loaded with OPENBLAS_NUM_THREADS=1 unless the variable is
+    set; the environment is then left as it was.
     """
     directory = os.path.join(scipy_dir, "optimize")
     spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(LBFGSB_MODULE)
@@ -37,7 +42,13 @@ def _load_lbfgsb(scipy_dir: str):
         raise ImportError(f"no {LBFGSB_MODULE} extension in {directory}; intentmpc needs scipy>=1.15",
                           name=LBFGSB_MODULE, path=directory)
     imported = LBFGSB_MODULE in sys.modules
-    module = module_from_spec(spec)
+    preset = "OPENBLAS_NUM_THREADS" in os.environ
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        module = module_from_spec(spec)
+    finally:
+        if not preset:
+            del os.environ["OPENBLAS_NUM_THREADS"]
     if not imported:
         # A single-phase C extension enters itself in sys.modules as it is
         # created; take it out, so that no scipy module is registered without

@@ -1,4 +1,5 @@
-"""What importing and running the package loads, and how it finds L-BFGS-B.
+"""What importing and running the package loads, how it finds L-BFGS-B, and
+the threads scipy's BLAS gets.
 
 The solver loads scipy's compiled L-BFGS-B module by itself; scipy.optimize,
 and everything it pulls in, stays out of the process.  Each check runs in a
@@ -15,8 +16,8 @@ import pytest
 
 from intentmpc import build_problem, solve, solver
 from intentmpc.mpc import cold_start
-from intentmpc.scenario_io import load_scenario
-from intentmpc.sim import intruder_plan
+from intentmpc.scenario_io import load_scenario, trace_to_csv
+from intentmpc.sim import intruder_plan, run_closed_loop
 from test_io import quick_doc
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,9 +26,10 @@ NEVER_LOADED = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.special
 
 
 def run_python(code: str, *args: str, **env: str) -> str:
-    """stdout of `python -c code args` with src on the path; the BLAS thread
-    variables that conftest sets are inherited through os.environ."""
-    environ = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env}
+    """stdout of `python -c code args` with src on the path, in this session's
+    environment without the *_NUM_THREADS variables, as a user runs it, plus env."""
+    inherited = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    environ = {**inherited, "PYTHONPATH": str(ROOT / "src"), **env}
     done = subprocess.run([sys.executable, "-c", code, *args], env=environ, capture_output=True, text=True,
                           check=False, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -49,7 +51,7 @@ def test_commands_load_no_scipy_module(tmp_path):
     doc["disturbance"] = {"kind": "uniform", "lo_deg_s": -0.5, "hi_deg_s": 0.5}
     scenario = tmp_path / "quick.json"
     scenario.write_text(json.dumps(doc))
-    stdout = run_python(COMMANDS, str(scenario), str(tmp_path), INTENT_MPC_THREADS="2")
+    stdout = run_python(COMMANDS, str(scenario), str(tmp_path))
     modules = json.loads(stdout.splitlines()[-1])
     assert (tmp_path / "mc" / "report.json").exists()
     assert not [name for name in modules if any(name == n or name.startswith(n + ".") for n in NEVER_LOADED)]
@@ -63,8 +65,8 @@ if sys.argv[2] == "before":
     import scipy.optimize
 from intentmpc import build_problem, solve
 from intentmpc.mpc import cold_start
-from intentmpc.scenario_io import load_scenario
-from intentmpc.sim import intruder_plan
+from intentmpc.scenario_io import load_scenario, trace_to_csv
+from intentmpc.sim import intruder_plan, run_closed_loop
 if sys.argv[2] == "after":
     import scipy.optimize
     assert scipy.optimize.minimize(lambda x: float(x @ x), [1.0, 2.0], method="L-BFGS-B").success
@@ -92,3 +94,36 @@ def test_missing_extension_names_the_directory_and_the_floor(tmp_path):
     with pytest.raises(ImportError, match=r"scipy>=1\.15") as err:
         solver._load_lbfgsb(str(tmp_path))
     assert str(tmp_path / "optimize") in str(err.value)
+
+
+BLAS_THREADS = r"""
+import ctypes, json, os, re, sys
+from intentmpc import cli
+libs = set(re.findall(r"\S*/libscipy_openblas-[^/\s]*$", open("/proc/self/maps").read(), re.M))
+threads = ctypes.CDLL(libs.pop()).scipy_openblas_get_num_threads() if libs else None
+variable = os.environ.get("OPENBLAS_NUM_THREADS")
+assert cli.main(["simulate", "--scenario", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(json.dumps([threads, variable]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="finds scipy's OpenBLAS in /proc/self/maps")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_scipy_blas_runs_on_one_thread_unless_the_user_sets_it(tmp_path, preset):
+    """Importing intentmpc loads scipy's OpenBLAS on one thread, leaves os.environ
+    as it was, and keeps a thread count the user set; the run is unchanged."""
+    scenario = tmp_path / "quick.json"
+    scenario.write_text(json.dumps(quick_doc()))
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    stdout = run_python(BLAS_THREADS, str(scenario), str(tmp_path / "sim"), **env)
+    threads, variable = json.loads(stdout.splitlines()[-1])
+    if threads is None:
+        pytest.skip("this scipy build maps no libscipy_openblas")
+    # OpenBLAS runs on no more threads than the CPUs it may use.
+    assert (threads, variable) == ((1, None) if preset is None else (min(2, len(os.sched_getaffinity(0))), "2"))
+    written = (tmp_path / "sim" / "trace.csv").read_text(encoding="utf-8")
+    in_session = trace_to_csv(run_closed_loop(load_scenario(scenario)))
+    # solve_ms, the last column, is measured wall time.
+    assert [row.rsplit(",", 1)[0] for row in written.split("\n")] == [
+        row.rsplit(",", 1)[0] for row in in_session.split("\n")
+    ]

@@ -434,39 +434,28 @@ class TestCli:
         assert capsys.readouterr().err.startswith("invalid arguments: --seed")
         assert not out.exists()
 
-    def test_montecarlo_respects_thread_env(self, tmp_path, monkeypatch):
-        doc = quick_doc()
-        scenario = tmp_path / "mc.json"
-        scenario.write_text(json.dumps(doc))
-        monkeypatch.setenv("INTENT_MPC_THREADS", "2")
-        out = tmp_path / "p"
-        assert main(["montecarlo", "--scenario", str(scenario), "--out", str(out), "--runs", "2"]) == 0
-        assert (out / "report.json").exists()
+    @staticmethod
+    def _montecarlo_workers(quick_path, tmp_path, monkeypatch) -> int:
+        """The worker count `montecarlo` passes to run_monte_carlo; the batch itself runs serially."""
+        seen = []
 
-    @pytest.mark.parametrize("raw, workers", [("0", 2), ("3", 3)])
-    def test_monte_carlo_workers_count_usable_cpus(self, monkeypatch, raw, workers):
-        # A process pinned to 2 of 64 CPUs gets 2 workers for INTENT_MPC_THREADS=0.
-        monkeypatch.setenv("INTENT_MPC_THREADS", raw)
+        def serial(spec, runs, max_workers):
+            seen.append(max_workers)
+            return run_monte_carlo(spec, runs=runs)
+
+        monkeypatch.setattr(cli, "run_monte_carlo", serial)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert main(["montecarlo", "--scenario", str(quick_path), "--out", str(tmp_path / "mc"), "--runs", "1"]) == 0
+        return seen[0]
+
+    def test_monte_carlo_workers_count_usable_cpus(self, quick_path, tmp_path, monkeypatch):
+        # A process pinned to 2 of 64 CPUs gets 2 workers.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert cli._monte_carlo_workers() == workers
+        assert self._montecarlo_workers(quick_path, tmp_path, monkeypatch) == 2
 
-    def test_monte_carlo_workers_without_affinity(self, monkeypatch):
-        monkeypatch.setenv("INTENT_MPC_THREADS", "0")
+    def test_monte_carlo_workers_without_affinity(self, quick_path, tmp_path, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert cli._monte_carlo_workers() == 64
-
-    @pytest.mark.parametrize("raw", ["x", "-1"])
-    def test_invalid_thread_env_exits_2_as_an_argument(self, quick_path, tmp_path, monkeypatch, capsys, raw):
-        # The variable is an argument of the command, not part of the scenario.
-        monkeypatch.setenv("INTENT_MPC_THREADS", raw)
-        monkeypatch.setattr(sim_module, "solve_step", lambda *args: pytest.fail("a run started"))
-        out = tmp_path / "out"
-        assert main(["montecarlo", "--scenario", str(quick_path), "--out", str(out), "--runs", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("invalid arguments: INTENT_MPC_THREADS: ") and raw in err
-        assert not out.exists()
+        assert self._montecarlo_workers(quick_path, tmp_path, monkeypatch) == 64
 
     def test_dubins_straight(self, capsys):
         code = main(["dubins", "--start", "0", "0", "0", "--goal", "200", "0", "0", "--radius", "100", "--speed", "10"])

@@ -177,6 +177,13 @@ class TestClosedLoop:
         for s in trace.steps:
             assert INTRUDER_BOUNDS.u_min <= s.intruder_applied.angular_rate <= INTRUDER_BOUNDS.u_max
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, -math.inf), (-1e308, 1e308)])
+    def test_disturbance_needs_a_finite_range(self, lo, hi):
+        # numpy's uniform(lo, hi) would raise OverflowError at the first step, which no run catches;
+        # the message starts with a field name, so the scenario parser can name the key.
+        with pytest.raises(ValueError, match=r"^lo and hi must span a finite range"):
+            Disturbance("uniform", lo, hi)
+
     def test_prearrived_start_has_no_steps(self):
         trace = run_closed_loop(quiet_spec(own_start=Pose(110, 0, 0)))
         assert trace.arrived and not trace.steps
