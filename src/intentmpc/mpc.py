@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +38,13 @@ SCREEN_MARGIN_REL = 1e-9
 SCREEN_MARGIN_M = 1e-6
 
 
-def wrap_angles(angles: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise reduction of an angle array to (-pi, pi], written to `out` if given."""
+def wrap_angles(angles: np.ndarray, out: np.ndarray | None = None, mask: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise reduction of an angle array to (-pi, pi], written to `out` if given.
+
+    `mask`, if given, is a boolean array of the same shape that the comparison with pi is written to.
+    """
     w = np.remainder(angles, TWO_PI, out=out)
-    np.subtract(w, TWO_PI, out=w, where=w > math.pi)
+    np.subtract(w, TWO_PI, out=w, where=np.greater(w, math.pi, out=mask))
     return w
 
 
@@ -103,10 +105,12 @@ class MpcConfig:
             raise ValueError(f"horizon must be at least 1, got {self.horizon}")
         if not 0 <= self.robust_horizon <= self.horizon:
             raise ValueError(f"robust_horizon must lie in [0, horizon = {self.horizon}], got {self.robust_horizon}")
+        if not math.isfinite(self.min_separation):
+            raise ValueError("min_separation must be finite")
         if self.mode is not MpcMode.UNCONSTRAINED and not self.min_separation > 0.0:
             raise ValueError("min_separation must be positive in constrained modes")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError("dt must be finite and positive")
 
 
 @dataclass
@@ -115,126 +119,170 @@ class MpcSolution:
     solver: SolverResult
 
 
-class _Rollout(NamedTuple):
-    """What the callables read at one decision vector z; no callable returns any of it."""
-
-    errors: np.ndarray  # (N+1, 3) tracking errors in (x, y, wrapped heading)
-    du: np.ndarray  # (N-1,) rate changes
-    cs: np.ndarray  # (2, N) rows cos, sin of the headings at stages 0..N-1
-    ab: np.ndarray  # (2, N+1) rows a[k] = sum_{i<k} v_i sin(sigma_i), b[k] = sum_{i<k} v_i cos(sigma_i)
-    d: np.ndarray  # (2, M, N+1) ownship minus intruder (x, y) per scenario and stage; M = 0 if unconstrained
-
-
 class _SingleShooting:
-    """The NLP callables of one instance, reading one rollout record per z.
+    """The NLP callables of one instance, reading one workspace filled once per z.
 
     Decision vector layout: z = (u_0..u_{N-1}, v_0..v_{N-1}).  Closed forms
     follow from the Euler model being a double cumulative sum: headings are
     cumsums of rates, positions are cumsums of heading-projected speeds.
-    The record of the last distinct z (keyed by its bytes) holds everything
-    the objective, its gradient, the separation constraints and J^T w need,
-    so the solver's calls at one z share one rollout.  Per-stage quantities
-    that share an operation (cos|sin, a|b, the x|y offsets, the pullback's
-    five suffix sums) are rows of one block that one numpy call computes,
-    each entry by the same float operations in the same order as alone.
+
+    `__init__` allocates the whole evaluation workspace once, with every view
+    an evaluation reads: headings, cos|sin, b|a, tracking errors, rate
+    changes, ownship-minus-intruder offsets and their squares, one costate
+    block for the objective and one for J^T w, and the pullback's suffix
+    sums.  `_record` fills it at the last distinct z (keyed by its bytes), so
+    the solver's calls at one z share one rollout.  Per evaluation nothing is
+    allocated or sliced but z's own slices and the arrays a callable returns
+    (g, c, J^T w), which are fresh, so a caller may keep or overwrite them.
+    Per-stage quantities that share an operation (cos|sin, a|b, the x|y
+    offsets, the pullback's five suffix sums) are rows of one block that one
+    numpy call computes, each entry by the same float operations in the same
+    order as alone.
     """
 
     def __init__(self, own_now: Pose, tree: ScenarioTree, config: MpcConfig):
-        self.n = config.horizon
+        n = self.n = config.horizon
         self.dt = config.dt
         self.start_xy, self.start_heading = np.array([[own_now.x], [own_now.y]]), own_now.heading
         self.target_xy, self.target_heading = np.array([[config.target.x], [config.target.y]]), config.target.heading
-        self.weights = config.weights
+        self.q, self.qf, self.r = config.weights.state_weight, config.weights.terminal_weight, config.weights.rate_smoothing
+        self.two_r = 2.0 * self.r
         # Diagonal weight per stage (the last column terminal), and the scales
         # of the rate gradient's terms: dt*ss1, (-dt*dt)*(x term), dt*dt*(y term).
-        self.stage_weights = np.array((config.weights.state_weight, config.weights.terminal_weight)).T.repeat((self.n, 1), axis=1)
+        self.stage_weights = np.array((self.q, self.qf)).T.repeat((n, 1), axis=1)
         self.gu_scale = np.array([[self.dt], [-self.dt * self.dt], [self.dt * self.dt]])
         # Intruder (x, y) per scenario and stage, one (2, M, N+1) block.
         self.intr = tree.trajectories[..., :2].transpose(2, 0, 1).copy()
+        self.rows = self.intr.shape[1]
         self.rho_sq = config.min_separation**2
         self._key: bytes | None = None
-        self._rec: _Rollout | None = None
 
-    def _record(self, z: np.ndarray) -> _Rollout:
+        # Headings at stages 0..N (stage 0 the start's), and cos|sin at 0..N-1.
+        self._sigma = np.empty(n + 1)
+        self._sigma[0] = own_now.heading
+        self._heading, self._sigma_head = self._sigma[1:], self._sigma[:n]
+        self._trig = np.empty((2, n))
+        self._cos, self._sin = self._trig
+        self._vtrig = np.empty((2, n))
+        # Rows b[k] = sum_{i<k} v_i cos(sigma_i), a[k] = sum_{i<k} v_i sin(sigma_i); column 0 stays zero.
+        self._ba = np.zeros((2, n + 1))
+        self._ba_tail, self._ab = self._ba[:, 1:], self._ba[::-1]
+        self._ab_tail = self._ab[:, 1:]
+        # Rows x, y, heading of the tracking errors; positions until the target is subtracted.
+        self._err = np.empty((3, n + 1))
+        self._pos, self._pos_start, self._heading_err = self._err[:2], self._err[:2, :1], self._err[2]
+        self._pos_per_row = self._pos[:, None, :]
+        self._wrap = np.empty(n + 1, dtype=bool)
+        # The C-ordered (N+1, 3) copy the objective reads: its einsum sums in this order.
+        self._errors = np.empty((n + 1, 3))
+        self._errors_by_row = self._errors.T
+        self._e_stage, self._e_term = self._errors[:n], self._errors[n]
+        self._e_term_q = np.empty(3)
+        self._du, self._rdu = np.empty(n - 1), np.empty(n - 1)
+        # Ownship minus intruder (x, y) per scenario and stage, and their squares, flat per axis.
+        self._d = np.empty((2, self.rows, n + 1))
+        self._dx, self._dy = self._d
+        self._sq = np.empty(self._d.shape)
+        self._sq_x, self._sq_y = self._sq.reshape(2, -1)
+        # Costates (5, N+1): rows x, y, heading, then the pullback's scratch.
+        # J^T w's heading row stays zero.
+        lam_obj, lam_jtw = np.empty((5, n + 1)), np.zeros((5, n + 1))
+        self._lam_obj_state, self._lam_jtw_pos = lam_obj[:3], lam_jtw[:2]
+        self._lam_jtw_x, self._lam_jtw_y = self._lam_jtw_pos
+        # The views of each that the pullback reads: rows x|y, rows 3:5, and the block reversed over stages.
+        self._obj_costate, self._jtw_costate = ((lam[:2], lam[3:], lam[:, ::-1]) for lam in (lam_obj, lam_jtw))
+        # Suffix sums over stages k > j (j = 0..N-1) of lx, ly, ls, lx*a, ly*b:
+        # accumulated over the reversed costate into the reversed block.
+        acc = np.empty((5, n + 1))
+        self._acc_rev, suf = acc[:, ::-1], acc[:, 1:]
+        self._suf_pos, self._suf_scaled, self._suf_ab = suf[:2], suf[2:], suf[3:]
+        self._suf_heading, self._suf_xa, self._suf_yb = suf[2:]
+        self._scratch = np.empty((2, n))
+        self._scratch_x, self._scratch_y = self._scratch
+        # The gradient, assembled here and returned as a copy.
+        self._g = np.empty(2 * n)
+        self._gu, self._gv = self._g[:n], self._g[n:]
+        self._gu_head, self._gu_tail = self._g[: n - 1], self._g[1:n]
+
+    def _record(self, z: np.ndarray) -> None:
+        """Fill the workspace at z, unless it holds z already."""
         key = z.tobytes()
         if key == self._key:
-            return self._rec  # type: ignore[return-value]
-        n, dt, h0 = self.n, self.dt, self.start_heading
-        u, v = z[:n], z[n:]
-        sigma = np.empty(n + 1)
-        sigma[0] = h0
-        heading = np.add.accumulate(u, out=sigma[1:])
-        heading *= dt
-        heading += h0
-        trig = np.empty((2, n))  # rows cos, sin
-        np.cos(sigma[:n], out=trig[0])
-        np.sin(sigma[:n], out=trig[1])
-        ba = np.zeros((2, n + 1))  # rows b, a
-        np.add.accumulate(v * trig, axis=1, out=ba[:, 1:])
-        err = np.empty((3, n + 1))  # rows x, y, heading; positions until the target is subtracted
-        pos = np.multiply(ba, dt, out=err[:2])
+            return
+        self._key = None  # a fill cut short by an exception leaves no key
+        n, dt = self.n, self.dt
+        u = z[:n]
+        np.add.accumulate(u, out=self._heading)
+        self._heading *= dt
+        self._heading += self.start_heading
+        np.cos(self._sigma_head, out=self._cos)
+        np.sin(self._sigma_head, out=self._sin)
+        np.multiply(z[n:], self._trig, out=self._vtrig)
+        np.add.accumulate(self._vtrig, axis=1, out=self._ba_tail)
+        pos = np.multiply(self._ba, dt, out=self._pos)
         pos += self.start_xy
-        pos[:, :1] = self.start_xy  # stage 0 is the start itself, not 0*dt + start
-        d = pos[:, None, :] - self.intr
+        self._pos_start[...] = self.start_xy  # stage 0 is the start itself, not 0*dt + start
+        if self.rows:
+            np.subtract(self._pos_per_row, self.intr, out=self._d)
         pos -= self.target_xy
-        wrap_angles(np.subtract(sigma, self.target_heading, out=err[2]), out=err[2])
+        heading_err = np.subtract(self._sigma, self.target_heading, out=self._heading_err)
+        wrap_angles(heading_err, out=heading_err, mask=self._wrap)
+        self._errors_by_row[...] = self._err
+        np.subtract(u[1:], u[:-1], out=self._du)
         self._key = key
-        self._rec = _Rollout(err.T.copy(), u[1:] - u[:-1], trig, ba[::-1], d)
-        return self._rec
 
-    def _pullback(self, rec: _Rollout, lam: np.ndarray) -> np.ndarray:
-        """Pull a per-stage state gradient lam[:3] back to the controls; lam is (5, N+1), rows 3:5 scratch.
+    def _pullback(self, costate: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """Pull a costate block's per-stage state gradient (rows 0:3) back to the controls, into `_g`, which it returns.
 
         Uses the cumulative-sum structure: the sensitivity of x_k to u_j is
         -dt^2 * sum_{j<i<k} v_i sin(sigma_i), and similarly for y with +cos.
         """
-        n, ab = self.n, rec.ab
-        np.multiply(lam[:2], ab, out=lam[3:])
-        # Suffix sums over stages k > j (j = 0..N-1) of lx, ly, ls, lx*a, ly*b.
-        suf = np.add.accumulate(lam[:, ::-1], axis=1)[:, ::-1][:, 1:]
-        suf[3:] -= ab[:, 1:] * suf[:2]
-        suf[2:] *= self.gu_scale
-        g = np.empty(2 * n)
-        np.add(suf[3], suf[4], out=g[:n])
-        g[:n] += suf[2]
-        t = rec.cs * suf[:2]
-        np.add(t[0], t[1], out=g[n:])
-        g[n:] *= self.dt
-        return g
+        pos, tail, rev = costate
+        np.multiply(pos, self._ab, out=tail)
+        np.add.accumulate(rev, axis=1, out=self._acc_rev)
+        np.multiply(self._ab_tail, self._suf_pos, out=self._scratch)
+        self._suf_ab -= self._scratch
+        self._suf_scaled *= self.gu_scale
+        np.add(self._suf_xa, self._suf_yb, out=self._gu)
+        self._gu += self._suf_heading
+        np.multiply(self._trig, self._suf_pos, out=self._scratch)
+        np.add(self._scratch_x, self._scratch_y, out=self._gv)
+        self._gv *= self.dt
+        return self._g
 
     def objective(self, z: np.ndarray) -> float:
-        n, rec = self.n, self._record(z)
-        e = rec.errors
-        q, qf, r = self.weights.state_weight, self.weights.terminal_weight, self.weights.rate_smoothing
-        stage = float(np.einsum("ki,i,ki->", e[:n], q, e[:n]))
-        terminal = float(np.dot(e[n] * qf, e[n]))
-        return stage + terminal + r * float(np.dot(rec.du, rec.du))
+        self._record(z)
+        e_term = self._e_term
+        stage = float(np.einsum("ki,i,ki->", self._e_stage, self.q, self._e_stage))
+        terminal = float(np.dot(np.multiply(e_term, self.qf, out=self._e_term_q), e_term))
+        return stage + terminal + self.r * float(np.dot(self._du, self._du))
 
     def objective_grad(self, z: np.ndarray) -> np.ndarray:
-        n, rec = self.n, self._record(z)
-        lam = np.empty((5, n + 1))
-        np.multiply(rec.errors.T, 2.0, out=lam[:3])
-        lam[:3] *= self.stage_weights
-        g = self._pullback(rec, lam)
-        rdu = 2.0 * self.weights.rate_smoothing * rec.du
-        g[: n - 1] -= rdu
-        g[1:n] += rdu
-        return g
+        self._record(z)
+        np.multiply(self._err, 2.0, out=self._lam_obj_state)
+        self._lam_obj_state *= self.stage_weights
+        self._pullback(self._obj_costate)
+        np.multiply(self.two_r, self._du, out=self._rdu)
+        self._gu_head -= self._rdu
+        self._gu_tail += self._rdu
+        return self._g.copy()
 
     def constraints(self, z: np.ndarray) -> np.ndarray:
-        sq = self._record(z).d ** 2
-        return (self.rho_sq - sq[0] - sq[1]).ravel()
+        self._record(z)
+        np.square(self._d, out=self._sq)
+        c = np.subtract(self.rho_sq, self._sq_x)
+        c -= self._sq_y
+        return c
 
     def constraints_weighted_grad(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """J^T w without forming J: aggregate the weights into one per-stage
         position gradient, then pull it back through the rollout."""
-        rec = self._record(z)
-        dx, dy = rec.d
-        w2 = w.reshape(dx.shape)
-        lam = np.zeros((5, self.n + 1))
-        np.multiply(-2.0, np.einsum("jk,jk->k", w2, dx), out=lam[0])
-        np.multiply(-2.0, np.einsum("jk,jk->k", w2, dy), out=lam[1])
-        return self._pullback(rec, lam)
+        self._record(z)
+        w2 = w.reshape(self._dx.shape)
+        np.einsum("jk,jk->k", w2, self._dx, out=self._lam_jtw_x)
+        np.einsum("jk,jk->k", w2, self._dy, out=self._lam_jtw_y)
+        self._lam_jtw_pos *= -2.0
+        return self._pullback(self._jtw_costate).copy()
 
 
 def _prediction(t: int, intent_schedule: ControlSchedule, config: MpcConfig) -> tuple[np.ndarray, int]:

@@ -139,8 +139,9 @@ class SolverConfig:
         for name in ("outer_max_iters", "inner_max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.optimality_tol <= 0:
-            raise ValueError("optimality_tol must be positive")
+        # NaN would never pass the stopping test, and inf would pass it at any point.
+        if not (math.isfinite(self.optimality_tol) and self.optimality_tol > 0):
+            raise ValueError("optimality_tol must be finite and positive")
 
 
 @dataclass

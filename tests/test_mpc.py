@@ -27,7 +27,7 @@ from intentmpc import (
 from intentmpc.mpc import MpcSolution, cold_start, shift_warm_start, wrap_angles
 from intentmpc.scenario_io import load_scenario
 from intentmpc.sim import intruder_plan
-from intentmpc.solver import SolverConfig, SolverResult, _rank, solve
+from intentmpc.solver import NumericalDomainError, SolverConfig, SolverResult, _rank, solve
 from oracle_derivatives import check_gradient, jacobian
 from oracle_dynamics import rollout
 
@@ -101,6 +101,14 @@ class TestConfig:
         # Rejected on construction, not at the first solve_step's tree build.
         with pytest.raises(ValueError, match="horizon must be at least 1"):
             config(horizon=horizon, robust_horizon=0)
+
+    @pytest.mark.parametrize("value", [INF, -INF, NAN], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("name", ["dt", "min_separation"])
+    @pytest.mark.parametrize("mode", [MpcMode.SCENARIO_TREE, MpcMode.UNCONSTRAINED], ids=lambda m: m.value)
+    def test_rejects_non_finite_value_by_name(self, mode, name, value):
+        # The name leads the message, so the scenario parser can point at its key.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            replace(config(mode), **{name: value})
 
 
 class TestBuildProblem:
@@ -208,6 +216,29 @@ def call_sequences(draw):
     return mode, horizon, pool_size, seed, draw(st.lists(calls, min_size=1, max_size=20))
 
 
+def poses():
+    coord = st.floats(-1500.0, 1500.0)
+    return st.builds(Pose, coord, coord, st.floats(-math.pi, math.pi))
+
+
+@st.composite
+def encounters(draw, max_horizon=12):
+    """A config (mode, horizon, dt, weights, target), ownship and intruder poses, a step and a seed for z."""
+    pose = poses()
+    mode = draw(st.sampled_from(list(MpcMode)))
+    horizon = draw(st.integers(1, max_horizon))
+    diag = st.tuples(*[st.floats(0.01, 10.0)] * 3)
+    weights = MpcWeights(draw(diag), draw(diag), draw(st.floats(0.01, 100.0)))
+    cfg = replace(
+        config(mode, horizon, draw(st.integers(0, min(3, horizon)))),
+        dt=draw(st.floats(0.1, 2.0)),
+        weights=weights,
+        target=draw(pose),
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    return cfg, draw(pose), draw(pose), draw(st.integers(0, 40)), seed
+
+
 class TestSharedRecord:
     @settings(max_examples=60, deadline=None)
     @given(call_sequences())
@@ -248,28 +279,53 @@ class TestSharedRecord:
                 assert np.array_equal(got, snapshot)
                 got.fill(np.nan)
 
+    @settings(max_examples=60, deadline=None)
+    @given(encounters())
+    def test_interleaved_and_cut_short_evaluations_match_a_fresh_problem(self, case):
+        # The workspace is refilled in place at each new z, and the gradient
+        # and J^T w each pull back their own costate block.  J^T w at two
+        # weights around the gradient at one z, revisits of an earlier z, a
+        # solve stopped by a NumericalDomainError at a non-finite z, and a fill
+        # cut short by a floating-point error must each leave every later call
+        # equal, byte for byte, to the same call on a fresh problem.
+        cfg, own, intruder, t, seed = case
+        args = (own, intruder, t, crossing_schedule(), cfg)
+        problem, _ = build_problem(*args)
+        rows = row_count(args)
+        rng = np.random.default_rng(seed)
+        z0, z1 = (rng.uniform(problem.lower, problem.upper) for _ in range(2))
+        w0, w1 = (rng.uniform(0.0, 2.0, rows) * (rng.random(rows) < 0.5) for _ in range(2))
 
-def poses():
-    coord = st.floats(-1500.0, 1500.0)
-    return st.builds(Pose, coord, coord, st.floats(-math.pi, math.pi))
+        def check(name, z, *w):
+            fresh, _ = build_problem(*args)
+            assert np.array_equal(getattr(problem, name)(z, *w), getattr(fresh, name)(z.copy(), *w))
 
+        check("objective_grad", z0)
+        check("constraints_weighted_grad", z0, w0)
+        check("objective_grad", z0)
+        check("constraints_weighted_grad", z0, w1)
+        check("objective", z1)
+        check("constraints", z1)
+        check("constraints_weighted_grad", z1, w0)
+        check("constraints_weighted_grad", z0, w1)
+        check("objective_grad", z0)
+        check("objective", z0)
 
-@st.composite
-def encounters(draw, max_horizon=12):
-    """A config (mode, horizon, dt, weights, target), ownship and intruder poses, a step and a seed for z."""
-    pose = poses()
-    mode = draw(st.sampled_from(list(MpcMode)))
-    horizon = draw(st.integers(1, max_horizon))
-    diag = st.tuples(*[st.floats(0.01, 10.0)] * 3)
-    weights = MpcWeights(draw(diag), draw(diag), draw(st.floats(0.01, 100.0)))
-    cfg = replace(
-        config(mode, horizon, draw(st.integers(0, min(3, horizon)))),
-        dt=draw(st.floats(0.1, 2.0)),
-        weights=weights,
-        target=draw(pose),
-    )
-    seed = draw(st.integers(0, 2**32 - 1))
-    return cfg, draw(pose), draw(pose), draw(st.integers(0, 40)), seed
+        spoilt = z1.copy()
+        spoilt[rng.integers(spoilt.size)] = NAN
+        with pytest.raises(NumericalDomainError):
+            solve(problem, spoilt, cfg.solver)
+        check("objective_grad", z0)
+        check("constraints_weighted_grad", z0, w0)
+        check("constraints", z0)
+
+        # cos(inf) raises here after the headings are overwritten; z0 was the last z filled.
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            problem.objective(np.full_like(z0, INF))
+        check("objective", z0)
+        check("objective_grad", z0)
+        check("constraints", z0)
+        check("constraints_weighted_grad", z0, w1)
 
 
 class TestPoseByPoseOracle:

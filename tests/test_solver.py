@@ -224,6 +224,12 @@ class TestSolve:
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-4], ids=["nan", "inf", "-inf", "zero", "negative"])
+    def test_optimality_tol_must_be_finite_and_positive(self, value):
+        # NaN never meets the stopping test; inf would report `converged` at any point.
+        with pytest.raises(ValueError, match="optimality_tol"):
+            SolverConfig(optimality_tol=value)
+
 
 # The L-BFGS-B options `solve` applies under the default SolverConfig, as
 # scipy.optimize.minimize takes them.
